@@ -32,7 +32,6 @@ from .density import (
     DensityScore,
     Lattice,
     NhypMode,
-    collect_marks,
     conceptual_density,
     score_candidates,
 )

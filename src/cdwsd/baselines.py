@@ -246,29 +246,11 @@ def conceptual_distance(t: Taxonomy, a: str, b: str) -> float:
     Uses whatever relations the taxonomy was loaded with.  Synsets in
     different components are at ``math.inf``.
     """
-    t._require(a)
-    t._require(b)
-    if a == b:
-        return 0
-    frontier = [a]
-    seen = {a}
-    dist = 0
-    while frontier:
-        dist += 1
-        nxt = []
-        for node in frontier:
-            for neigh in t._down[node] + t._up[node]:
-                if neigh == b:
-                    return dist
-                if neigh not in seen:
-                    seen.add(neigh)
-                    nxt.append(neigh)
-        frontier = nxt
-    return math.inf
+    return t.distances(a, {b}).get(b, math.inf)
 
 
 class _DistanceCache:
-    """Pairwise capped distances via targeted BFS with a pair-level memo.
+    """Pairwise capped distances from ``Taxonomy.distances``, memoized per pair.
 
     Only the pairs actually queried are kept, so long documents over a
     large taxonomy stay within memory.
@@ -284,9 +266,6 @@ class _DistanceCache:
         result: dict[str, int] = {}
         missing: set[str] = set()
         for b in targets:
-            if b == source:
-                result[b] = 0
-                continue
             key = (source, b) if source <= b else (b, source)
             d = self._pairs.get(key)
             if d is None:
@@ -294,24 +273,7 @@ class _DistanceCache:
             else:
                 result[b] = d
         if missing:
-            found: dict[str, int] = {}
-            remaining = set(missing)
-            seen = {source}
-            frontier = [source]
-            d = 0
-            t = self.t
-            while frontier and remaining:
-                d += 1
-                nxt = []
-                for node in frontier:
-                    for neigh in t._down[node] + t._up[node]:
-                        if neigh not in seen:
-                            seen.add(neigh)
-                            nxt.append(neigh)
-                            if neigh in remaining:
-                                found[neigh] = d
-                                remaining.discard(neigh)
-                frontier = nxt
+            found = self.t.distances(source, missing)
             for b in missing:
                 dist = found.get(b, self.cap)
                 key = (source, b) if source <= b else (b, source)

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import io
+import random
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -154,8 +156,6 @@ def _read_documents(args, t: Taxonomy) -> list[tuple[str, ExtractedNouns]]:
 
 
 def _train_docs(args, t: Taxonomy) -> list[ExtractedNouns]:
-    if not args.train:
-        raise ConfigError(f"--baseline {args.baseline} requires --train")
     train = []
     for path in args.train:
         with open(path, "r", encoding="utf-8") as fh:
@@ -171,70 +171,41 @@ def _system_assignments(
     The random fallback consumes a single seeded generator across the whole
     run, in document order.
     """
-    name = args.baseline or "density"
-    per_doc: list[list[Assignment]] = []
     if args.baseline is None:
         params = DensityParams(
             smoothing_exponent=args.exponent,
             nhyp_mode=NhypMode(args.nhyp),
             relation_mode=t.relation_mode,
         )
-        for _, doc in docs:
-            per_doc.append(
-                disambiguate_document(
-                    t,
-                    doc.occurrences,
-                    params,
-                    window_size=window,
-                    fallback="none",
-                )
-            )
-        if args.fallback == "random":
-            flat = apply_random_fallback(
-                t, [a for assignments in per_doc for a in assignments], args.seed
-            )
-            per_doc, i = [], 0
-            for _, doc in docs:
-                per_doc.append(flat[i : i + len(doc.occurrences)])
-                i += len(doc.occurrences)
+        rng = random.Random(args.seed)
+
+        def run(nouns):
+            assignments = disambiguate_document(t, nouns, params, window_size=window)
+            if args.fallback == "random":
+                assignments = apply_random_fallback(t, assignments, rng)
+            return assignments
+
     elif args.baseline == "random":
-        for _, doc in docs:
-            per_doc.append(bl.random_baseline(doc.occurrences, t, seed=args.seed))
+        run = partial(bl.random_baseline, t=t, seed=args.seed)
     elif args.baseline == "mfs":
         table = bl.build_frequency(t, _train_docs(args, t))
-        for _, doc in docs:
-            per_doc.append(bl.most_frequent_baseline(doc.occurrences, t, table))
+        run = partial(bl.most_frequent_baseline, t=t, freq=table)
     elif args.baseline == "yarowsky":
         table = bl.build_salience(_train_docs(args, t), t, window_size=window)
-        for _, doc in docs:
-            per_doc.append(
-                bl.yarowsky_baseline(t, doc.occurrences, table, window_size=window)
-            )
+        run = partial(bl.yarowsky_baseline, t, table=table, window_size=window)
     elif args.baseline == "sussna":
-        for _, doc in docs:
-            per_doc.append(
-                bl.sussna_baseline(
-                    doc.occurrences, t, window_size=window, seed=args.seed
-                )
-            )
+        run = partial(bl.sussna_baseline, t=t, window_size=window, seed=args.seed)
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown baseline {args.baseline!r}")
-    return name, per_doc
-
-
-def _open_out(args):
-    if args.out:
-        return open(args.out, "w", encoding="utf-8", newline="\n")
-    return None
+    return args.baseline or "density", [run(doc.occurrences) for _, doc in docs]
 
 
 def _emit(args, text: str) -> None:
-    out = _open_out(args)
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with out:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as out:
             out.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_stats(args) -> int:
@@ -360,10 +331,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (TaxonomyError, CorpusError) as exc:
+    except (TaxonomyError, CorpusError, UnicodeDecodeError) as exc:
         print(f"cdwsd: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"cdwsd: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -18,7 +18,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import AbstractSet, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .taxonomy import RelationMode, SubhierarchyMetrics, Taxonomy
 
@@ -97,36 +97,6 @@ def conceptual_density(
         raise ValueError("marks must be non-negative")
     nhyp = metrics.local_nhyp if params.nhyp_mode is NhypMode.LOCAL else global_nhyp
     return _smoothed_numerator(nhyp, params.smoothing_exponent, m) / metrics.descendants
-
-
-def collect_marks(
-    t: Taxonomy,
-    concept: str,
-    window_senses: Sequence[tuple[str, AbstractSet[str]]],
-    dedup_by_lemma: bool = True,
-) -> tuple[int, dict[int, frozenset[str]]]:
-    """Count the window senses falling under ``concept``.
-
-    ``window_senses`` is one (lemma, remaining sense set) pair per window
-    occurrence, in window order.  Returns (m, covered) where covered maps
-    occurrence index -> covered sense subset.  With ``dedup_by_lemma`` a
-    repeated lemma's sense set contributes to m only once (the union over
-    its occurrences); covered is always reported per occurrence.
-    """
-    t._require(concept)
-    covered: dict[int, frozenset[str]] = {}
-    per_lemma: dict[str, set[str]] = {}
-    m = 0
-    for idx, (lemma, senses) in enumerate(window_senses):
-        hit = frozenset(s for s in senses if concept in t.ancestors_of(s))
-        covered[idx] = hit
-        if dedup_by_lemma:
-            per_lemma.setdefault(lemma, set()).update(hit)
-        else:
-            m += len(hit)
-    if dedup_by_lemma:
-        m = sum(len(hits) for hits in per_lemma.values())
-    return m, covered
 
 
 @dataclass

@@ -83,7 +83,6 @@ class WindowTrace:
     """Diagnostics from one window run: the winner of every loop iteration."""
 
     winners: list[DensityScore]
-    remaining: dict[int, tuple[str, ...]]
 
 
 def build_window(
@@ -120,17 +119,13 @@ def build_window(
 def _qualifies(score: DensityScore, lattice: Lattice) -> bool:
     if not score.resolvable:
         return False
-    lemmas_covered = {
-        lattice.lemmas[i] for i, senses in score.covered.items() if senses
-    }
-    return len(lemmas_covered) >= 2
+    return len({lattice.lemmas[i] for i in score.covered_words}) >= 2
 
 
 def disambiguate_window(
     t: Taxonomy,
     window: Window,
     params: DensityParams,
-    dedup_marks: bool = True,
 ) -> tuple[Assignment, WindowTrace]:
     """Run the elimination loop and decide the window's middle noun.
 
@@ -152,14 +147,14 @@ def disambiguate_window(
             senses=(target_senses[0],),
             method=Method.MONOSEMOUS,
         )
-        return assignment, WindowTrace(winners=[], remaining={})
+        return assignment, WindowTrace(winners=[])
 
     lattice = Lattice.for_window(t, [occ.lemma for occ in window.members])
     winners: list[DensityScore] = []
     winning_cd: float | None = None
 
     for _ in range(sum(len(r) for r in lattice.remaining)):
-        scores = score_candidates(t, lattice, params, dedup_by_lemma=dedup_marks)
+        scores = score_candidates(t, lattice, params)
         winner = next((s for s in scores if _qualifies(s, lattice)), None)
         if winner is None:
             break
@@ -186,23 +181,19 @@ def disambiguate_window(
         method=Method.DENSITY,
         winning_cd=winning_cd,
     )
-    trace = WindowTrace(
-        winners=winners,
-        remaining={i: tuple(sorted(r)) for i, r in enumerate(lattice.remaining)},
-    )
-    return assignment, trace
+    return assignment, WindowTrace(winners=winners)
 
 
 def apply_random_fallback(
-    t: Taxonomy, assignments: Sequence[Assignment], seed: int
+    t: Taxonomy, assignments: Sequence[Assignment], rng: random.Random
 ) -> list[Assignment]:
     """Replace every Partial/None outcome with a uniformly drawn Full one.
 
     Partial draws from the surviving set, None from all of the lemma's
-    senses.  One generator, consumed in document order, so a fixed seed
-    reproduces byte-identical output.
+    senses.  Draws are taken from ``rng`` in assignment order; passing one
+    generator through the documents of a run in order makes a fixed seed
+    reproduce byte-identical output.
     """
-    rng = random.Random(seed)
     out = []
     for a in assignments:
         if a.outcome is Outcome.FULL:
@@ -229,7 +220,6 @@ def disambiguate_document(
     window_size: int = 31,
     fallback: str = "none",
     seed: int = 0,
-    dedup_marks: bool = True,
 ) -> list[Assignment]:
     """One assignment per noun occurrence, in document order.
 
@@ -243,10 +233,10 @@ def disambiguate_document(
     assignments = []
     for i in range(len(nouns)):
         window = build_window(nouns, i, window_size)
-        assignment, _ = disambiguate_window(t, window, params, dedup_marks)
+        assignment, _ = disambiguate_window(t, window, params)
         assignments.append(assignment)
     if fallback == "random":
-        assignments = apply_random_fallback(t, assignments, seed)
+        assignments = apply_random_fallback(t, assignments, random.Random(seed))
     return assignments
 
 

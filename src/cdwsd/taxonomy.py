@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, AbstractSet, Iterable, Iterator
 
 
 class RelationMode(enum.Enum):
@@ -330,6 +330,39 @@ class Taxonomy:
                     seen.add(child)
                     frontier.append(child)
         return frozenset(seen)
+
+    def distances(self, source: str, targets: AbstractSet[str]) -> dict[str, int]:
+        """Shortest-path lengths from ``source`` to each of ``targets``.
+
+        Edges count 1 and are followed in either direction, under the
+        relation mode.  The breadth-first search stops once every target is
+        found; targets in another component are absent from the result.
+        """
+        self._require(source)
+        for target in targets:
+            self._require(target)
+        down, up = self._down, self._up
+        remaining = set(targets)
+        found: dict[str, int] = {}
+        if source in remaining:
+            found[source] = 0
+            remaining.discard(source)
+        seen = {source}
+        frontier = [source]
+        d = 0
+        while frontier and remaining:
+            d += 1
+            nxt = []
+            for node in frontier:
+                for neigh in down[node] + up[node]:
+                    if neigh not in seen:
+                        seen.add(neigh)
+                        nxt.append(neigh)
+                        if neigh in remaining:
+                            found[neigh] = d
+                            remaining.discard(neigh)
+            frontier = nxt
+        return found
 
     def _reaches_cycle(self, concept: str) -> bool:
         if not self._cyclic_nodes:

@@ -47,6 +47,7 @@ from cdwsd.baselines import (
 from cdwsd.corpus import SenseKey, extract_nouns, parse_semcor
 from cdwsd.disambiguator import Method, NounOccurrence, Outcome
 from cdwsd.evaluation import Level, Population
+from cdwsd.taxonomy import TaxonomyError
 
 from helpers import DATA, build_taxonomy, load_data_taxonomy, random_taxonomy
 
@@ -311,6 +312,16 @@ class TestConceptualDistance:
 
         t = build_taxonomy(text, RelationMode.HYPERNYMY_MERONYMY)
         assert conceptual_distance(t, "ga1", "gb3") == 1
+
+    def test_unknown_synset_rejected(self, clusters):
+        with pytest.raises(TaxonomyError, match="unknown synset"):
+            clusters.distances("zzz", {"a02"})
+        with pytest.raises(TaxonomyError, match="unknown synset"):
+            clusters.distances("a02", {"zzz"})
+        with pytest.raises(TaxonomyError, match="unknown synset"):
+            conceptual_distance(clusters, "zzz", "a02")
+        with pytest.raises(TaxonomyError, match="unknown synset"):
+            conceptual_distance(clusters, "a02", "zzz")
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10**9))

@@ -125,6 +125,32 @@ class TestDisambiguate:
         )
         assert code == EXIT_CONFIG
 
+    def test_undecodable_input_is_parse_error(self, tmp_path):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("S\tx\tnoun.act\tcaf\u00e9:0\n".encode("latin-1"))
+        code, _ = run(
+            ["disambiguate", "--taxonomy", str(bad),
+             "--input", str(DATA / "toy_corpus.semcor")]
+        )
+        assert code == EXIT_PARSE
+        code, _ = run(
+            ["disambiguate", "--taxonomy", str(DATA / "two_clusters.tif"),
+             "--input", str(bad)]
+        )
+        assert code == EXIT_PARSE
+
+    def test_directory_path_is_config_error(self, tmp_path):
+        code, _ = run(
+            ["disambiguate", "--taxonomy", str(tmp_path),
+             "--input", str(DATA / "toy_corpus.semcor")]
+        )
+        assert code == EXIT_CONFIG
+        code, _ = run(
+            ["disambiguate", "--taxonomy", str(DATA / "two_clusters.tif"),
+             "--input", str(tmp_path)]
+        )
+        assert code == EXIT_CONFIG
+
     def test_baseline_random(self):
         code, out = run(
             base_args("disambiguate") + ["--baseline", "random", "--seed", "1"]
@@ -288,6 +314,41 @@ class TestMultiDocument:
         starts = [i for i, line in enumerate(lines) if line.startswith("# document")]
         first_data = lines[starts[1] + 2]  # separator, header, first row
         assert first_data.split("\t")[0] == "0"
+
+    def test_random_fallback_shares_one_generator(self):
+        import random
+
+        from cdwsd.corpus import extract_nouns, parse_semcor
+        from cdwsd.density import DensityParams
+        from cdwsd.disambiguator import (
+            apply_random_fallback,
+            disambiguate_document,
+            write_assignments,
+        )
+        from helpers import load_data_taxonomy
+
+        names = ["toy_corpus", "toy_train"]
+        code, out = run(
+            [
+                "disambiguate",
+                "--taxonomy", str(DATA / "two_clusters.tif"),
+                "--input", *(str(DATA / f"{n}.semcor") for n in names),
+                "--window", "1", "--fallback", "random", "--seed", "5",
+            ]
+        )
+        assert code == EXIT_OK
+        t = load_data_taxonomy("two_clusters.tif")
+        rng = random.Random(5)
+        expected = io.StringIO()
+        for name in names:
+            with open(DATA / f"{name}.semcor", encoding="utf-8") as fh:
+                doc = extract_nouns(parse_semcor(fh), t)
+            assignments = disambiguate_document(
+                t, doc.occurrences, DensityParams(), window_size=1
+            )
+            expected.write(f"# document: {name}\n")
+            write_assignments(t, apply_random_fallback(t, assignments, rng), expected)
+        assert out == expected.getvalue()
 
     def test_evaluate_merges_counts(self):
         code, out = run(

@@ -19,7 +19,6 @@ from cdwsd.density import (
     DensityParams,
     Lattice,
     NhypMode,
-    collect_marks,
     conceptual_density,
     score_candidates,
 )
@@ -91,42 +90,42 @@ class TestFormula:
 
 
 class TestCollectMarks:
+    """Mark counting, checked on one concept of ``score_candidates``."""
+
     @pytest.fixture
     def clusters(self):
         return load_data_taxonomy("two_clusters.tif")
 
+    @staticmethod
+    def scores(t, lemmas, dedup_by_lemma=True):
+        lattice = Lattice.for_window(t, lemmas)
+        return {
+            s.concept: s
+            for s in score_candidates(t, lattice, LOCAL, dedup_by_lemma)
+        }
+
     def test_concept_covering_none(self, clusters):
-        m, covered = collect_marks(clusters, "b01", [("trout", {"a03"})])
-        assert m == 0
-        assert covered == {0: frozenset()}
+        assert "b01" not in self.scores(clusters, ["trout"])
 
     def test_two_lemmas_one_sense_each(self, clusters):
-        window = [("trout", {"a03"}), ("salmon", {"a04"})]
-        m, covered = collect_marks(clusters, "a01", window)
-        assert m == 2
-        assert covered == {0: frozenset({"a03"}), 1: frozenset({"a04"})}
+        score = self.scores(clusters, ["trout", "salmon"])["a01"]
+        assert score.marks == 2
+        assert score.covered == {0: frozenset({"a03"}), 1: frozenset({"a04"})}
 
     def test_one_lemma_two_senses_under_concept(self, clusters):
         # both senses of "bass" sit under the top concept: two marks
-        window = [("bass", {"a02", "b02"})]
-        m, covered = collect_marks(clusters, "e00", window)
-        assert m == 2
-        assert covered == {0: frozenset({"a02", "b02"})}
+        score = self.scores(clusters, ["bass"])["e00"]
+        assert score.marks == 2
+        assert score.covered == {0: frozenset({"a02", "b02"})}
 
     def test_repeated_lemma_deduplicated(self, clusters):
-        window = [("trout", {"a03"}), ("trout", {"a03"})]
-        m, covered = collect_marks(clusters, "a01", window)
-        assert m == 1
-        assert covered == {0: frozenset({"a03"}), 1: frozenset({"a03"})}
+        score = self.scores(clusters, ["trout", "trout"])["a01"]
+        assert score.marks == 1
+        assert score.covered == {0: frozenset({"a03"}), 1: frozenset({"a03"})}
 
     def test_repeated_lemma_counted_with_switch_off(self, clusters):
-        window = [("trout", {"a03"}), ("trout", {"a03"})]
-        m, _ = collect_marks(clusters, "a01", window, dedup_by_lemma=False)
-        assert m == 2
-
-    def test_unknown_concept(self, clusters):
-        with pytest.raises(Exception, match="unknown"):
-            collect_marks(clusters, "zzz", [("trout", {"a03"})])
+        score = self.scores(clusters, ["trout", "trout"], dedup_by_lemma=False)["a01"]
+        assert score.marks == 2
 
 
 class TestScoreCandidates:
