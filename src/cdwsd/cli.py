@@ -136,7 +136,7 @@ def _odd(window: int) -> int:
 
 def _load_taxonomy(args) -> Taxonomy:
     mode = RelationMode(args.relations)
-    with open(args.taxonomy, "r", encoding="utf-8") as fh:
+    with open(args.taxonomy, "r", encoding="utf-8-sig") as fh:
         return load_taxonomy(fh, mode)
 
 
@@ -145,7 +145,7 @@ def _read_documents(args, t: Taxonomy) -> list[tuple[str, ExtractedNouns]]:
     docs = []
     for path in args.input:
         name = Path(path).stem
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             if args.format == "semcor":
                 extracted = extract_nouns(parse_semcor(fh, doc_id=name), t)
             else:
@@ -158,7 +158,7 @@ def _read_documents(args, t: Taxonomy) -> list[tuple[str, ExtractedNouns]]:
 def _train_docs(args, t: Taxonomy) -> list[ExtractedNouns]:
     train = []
     for path in args.train:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             train.append(extract_nouns(parse_semcor(fh, doc_id=Path(path).stem), t))
     return train
 
@@ -214,7 +214,7 @@ def cmd_stats(args) -> int:
     totals = [0, 0, 0, 0]
     for path in args.input:
         name = Path(path).stem
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             if args.format == "semcor":
                 stats = corpus_stats(parse_semcor(fh, doc_id=name), t)
             else:

@@ -114,19 +114,20 @@ class Lattice:
         for lemma, senses in zip(lemmas, remaining):
             if not senses:
                 raise ValueError(f"lemma {lemma!r} is not in the taxonomy")
-        lat = cls(lemmas=tuple(lemmas), remaining=remaining,
-                  frozen=[False] * len(remaining))
-        lat.refresh_candidates(t)
-        return lat
+        return cls(lemmas=tuple(lemmas), remaining=remaining,
+                   frozen=[False] * len(remaining))
 
     def refresh_candidates(self, t: Taxonomy) -> None:
+        """Recompute ``candidates``: the ancestors of all remaining senses.
+
+        Scoring does not read ``candidates`` (``score_candidates`` derives
+        them from ``remaining``), so only a caller that wants the set itself
+        needs this.
+        """
         self.candidates = set()
         for senses in self.remaining:
             for s in senses:
                 self.candidates |= t.ancestors_of(s)
-
-    def window_senses(self) -> list[tuple[str, set[str]]]:
-        return list(zip(self.lemmas, self.remaining))
 
     def open_indices(self) -> list[int]:
         """Occurrences that are neither frozen nor down to one sense."""
@@ -142,13 +143,23 @@ def score_candidates(
     lattice: Lattice,
     params: DensityParams,
     dedup_by_lemma: bool = True,
+    *,
+    qualifying: bool = False,
 ) -> list[DensityScore]:
-    """Score every candidate concept of the lattice, best first.
+    """Score the candidate concepts of the lattice, best first.
 
-    Candidates are the union of ancestors of all remaining senses.  Marks
-    are accumulated in one pass over the (small) ancestor sets of those
-    senses rather than by downward reachability.  Ordering: cd descending,
-    then fewer descendants (tighter subhierarchy), then ascending id.
+    Candidates are the union of ancestors of all remaining senses.  Coverage
+    is accumulated in one pass over the (small) ancestor sets of those
+    senses rather than by downward reachability; ``lattice.candidates`` is
+    not read.  Ordering: cd descending, then fewer descendants (tighter
+    subhierarchy), then ascending id.
+
+    With ``qualifying`` set, only the concepts the elimination loop may
+    select are scored: those that cover at least two occurrences, strictly
+    narrow a still-open one and cover senses of at least two distinct
+    lemmas.  The rule is tested on raw coverage, cheapest test first, before
+    any metric or density is computed, so the result is the full list
+    filtered by that rule, in the same order.
     """
     if params.relation_mode is not t.relation_mode:
         raise ValueError(
@@ -158,35 +169,43 @@ def score_candidates(
     if not lattice.lemmas:
         raise ValueError("empty lattice")
 
-    covered: dict[str, dict[int, set[str]]] = {c: {} for c in lattice.candidates}
-    mark_keys: dict[str, set[tuple[str, str] | tuple[int, str]]] = {
-        c: set() for c in lattice.candidates
-    }
-    for idx, (lemma, senses) in enumerate(lattice.window_senses()):
-        key = lemma if dedup_by_lemma else idx
+    lemmas = lattice.lemmas
+    ancestors_of = t.ancestors_of
+    covered: dict[str, dict[int, set[str]]] = {}
+    for idx, senses in enumerate(lattice.remaining):
         for s in senses:
-            for anc in t.ancestors_of(s):
-                covered[anc].setdefault(idx, set()).add(s)
-                mark_keys[anc].add((key, s))
+            for anc in ancestors_of(s):
+                by_word = covered.get(anc)
+                if by_word is None:
+                    covered[anc] = {idx: {s}}
+                elif idx in by_word:
+                    by_word[idx].add(s)
+                else:
+                    by_word[idx] = {s}
 
-    open_set = set(lattice.open_indices())
+    # sense count of every open occurrence; a concept narrows one when it
+    # covers fewer of its senses (closed occurrences read 0 and never do)
+    open_size = {i: len(lattice.remaining[i]) for i in lattice.open_indices()}
     global_value = (
         t.global_nhyp() if params.nhyp_mode is NhypMode.GLOBAL else 0.0
     )
     decorated = []
-    for concept in lattice.candidates:
-        cov_raw = covered[concept]
-        m = len(mark_keys[concept])
+    for concept, cov in covered.items():
+        if qualifying and len(cov) < 2:
+            continue
+        resolvable = any(len(ss) < open_size.get(i, 0) for i, ss in cov.items())
+        if qualifying and not (resolvable and len({lemmas[i] for i in cov}) >= 2):
+            continue
+        if dedup_by_lemma:
+            m = len({(lemmas[i], s) for i, ss in cov.items() for s in ss})
+        else:
+            m = sum(map(len, cov.values()))
         metrics = t.subhierarchy_metrics(concept)
-        resolvable = any(
-            i in open_set and 0 < len(ss) < len(lattice.remaining[i])
-            for i, ss in cov_raw.items()
-        )
         score = DensityScore(
             concept=concept,
             cd=conceptual_density(metrics, m, params, global_value),
             marks=m,
-            covered={i: frozenset(ss) for i, ss in cov_raw.items()},
+            covered={i: frozenset(ss) for i, ss in cov.items()},
             resolvable=resolvable,
         )
         decorated.append((-score.cd, metrics.descendants, concept, score))

@@ -1,13 +1,14 @@
 """Sliding-window noun disambiguation driven by conceptual density.
 
 For each noun occurrence a window of the nearest W nouns is assembled and
-an elimination loop runs over it: score all candidate concepts, pick the
-densest one that qualifies, keep only the senses under it for every word
+an elimination loop runs over it: score the candidate concepts that
+qualify, take the densest, keep only the senses under it for every word
 it covers, repeat until no concept qualifies, then read off the middle
 noun's surviving senses.  A concept qualifies when it covers senses of at
 least two distinct lemmas and strictly narrows at least one still-open
 occurrence; without such a rule every leaf sense would win with density 1
-and selection would be vacuous.
+and selection would be vacuous.  The rule is applied to raw coverage
+before density is computed, so concepts that cannot win are never scored.
 
 Window results apply only to the middle noun: freezing is window-local
 and nothing propagates across windows, so each occurrence is decided
@@ -116,12 +117,6 @@ def build_window(
     )
 
 
-def _qualifies(score: DensityScore, lattice: Lattice) -> bool:
-    if not score.resolvable:
-        return False
-    return len({lattice.lemmas[i] for i in score.covered_words}) >= 2
-
-
 def disambiguate_window(
     t: Taxonomy,
     window: Window,
@@ -129,10 +124,10 @@ def disambiguate_window(
 ) -> tuple[Assignment, WindowTrace]:
     """Run the elimination loop and decide the window's middle noun.
 
-    Loop per iteration: rescore all candidate concepts over the remaining
+    Loop per iteration: score the qualifying concepts over the remaining
     senses (frozen occurrences keep contributing their kept senses as
-    marks), take the best qualifying concept, and freeze every occurrence
-    it covers to exactly the covered senses.  Exits when nothing qualifies.
+    marks), take the densest, and freeze every occurrence it covers to
+    exactly the covered senses.  Exits when nothing qualifies.
     The target ends Full if one sense survives, Partial if several-but-
     fewer survive, None if its sense set was never touched.
     """
@@ -154,18 +149,17 @@ def disambiguate_window(
     winning_cd: float | None = None
 
     for _ in range(sum(len(r) for r in lattice.remaining)):
-        scores = score_candidates(t, lattice, params)
-        winner = next((s for s in scores if _qualifies(s, lattice)), None)
-        if winner is None:
+        scores = score_candidates(t, lattice, params, qualifying=True)
+        if not scores:
             break
+        winner = scores[0]
         winners.append(winner)
         for idx, senses in winner.covered.items():
-            if senses and not lattice.frozen[idx]:
+            if not lattice.frozen[idx]:
                 lattice.remaining[idx] = set(senses)
                 lattice.frozen[idx] = True
                 if idx == window.target and winning_cd is None:
                     winning_cd = winner.cd
-        lattice.refresh_candidates(t)
 
     left = sorted(lattice.remaining[window.target])
     if len(left) == 1:

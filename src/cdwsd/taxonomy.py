@@ -302,10 +302,10 @@ class Taxonomy:
         Upward means hypernym edges, plus part->whole once meronymy is in
         the relation mode.  Cycle-safe.
         """
-        self._require(sense)
         cached = self._ancestors.get(sense)
         if cached is not None:
             return cached
+        self._require(sense)
         seen = {sense}
         frontier = [sense]
         while frontier:
@@ -443,10 +443,10 @@ class Taxonomy:
 
     def subhierarchy_metrics(self, concept: str) -> SubhierarchyMetrics:
         """Descendant count, height and local nhyp for ``concept`` (memoized)."""
-        self._require(concept)
         cached = self._metrics.get(concept)
         if cached is not None:
             return cached
+        self._require(concept)
         descendants = len(self.descendant_set(concept))
         height = self._height_of(concept)
         metrics = SubhierarchyMetrics(

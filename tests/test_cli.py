@@ -176,6 +176,59 @@ class TestDisambiguate:
         assert drum_rows[0][2] == "none"  # no training counts
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark on any input changes nothing."""
+
+    @staticmethod
+    def with_bom(tmp_path, source):
+        copy = tmp_path / source.name
+        copy.write_text("\ufeff" + source.read_text(encoding="utf-8"), encoding="utf-8")
+        return str(copy)
+
+    def test_taxonomy(self, tmp_path):
+        argv = base_args("disambiguate") + ["--window", "3"]
+        expected = run(argv)
+        argv[argv.index("--taxonomy") + 1] = self.with_bom(tmp_path, DATA / "two_clusters.tif")
+        assert run(argv) == expected
+
+    def test_semcor_input_and_train(self, tmp_path):
+        corpus = self.with_bom(tmp_path, DATA / "toy_corpus.semcor")
+        train = self.with_bom(tmp_path, DATA / "toy_train.semcor")
+        for extra in (
+            ["stats"],
+            ["disambiguate", "--window", "3"],
+            ["disambiguate", "--baseline", "mfs", "--train", str(DATA / "toy_train.semcor")],
+        ):
+            argv = base_args(extra[0]) + extra[1:]
+            expected = run(argv)
+            assert expected[0] == EXIT_OK
+            argv[argv.index("--input") + 1] = corpus
+            if "--train" in argv:
+                argv[argv.index("--train") + 1] = train
+            assert run(argv) == expected
+
+    def test_plain_input_keeps_first_noun(self, tmp_path):
+        plain = tmp_path / "words.txt"
+        plain.write_text("\ufeffjury administration operation\n", encoding="utf-8")
+        for command in ("stats", "disambiguate"):
+            code, out = run(
+                [
+                    command,
+                    "--taxonomy", str(DATA / "sample_taxonomy.tif"),
+                    "--input", str(plain),
+                    "--format", "plain",
+                ]
+            )
+            assert code == EXIT_OK
+            if command == "stats":
+                assert out.splitlines()[1].startswith("words\t3\t3\t3\t")
+            else:
+                rows = [line.split("\t") for line in out.splitlines()[1:]]
+                assert [(r[0], r[1]) for r in rows] == [
+                    ("0", "jury"), ("1", "administration"), ("2", "operation")
+                ]
+
+
 class TestEvaluate:
     def test_density_self_corpus(self):
         code, out = run(base_args("evaluate") + ["--window", "3"])

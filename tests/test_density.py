@@ -224,3 +224,35 @@ def test_exact_ties_order_by_id_and_near_ties_by_cd():
     assert [s.concept for s in scores] == ["x", "y", "r"]
     assert scores[0].cd == scores[1].cd == 1.0
     assert scores[2].cd == pytest.approx(1.0, abs=1e-12)
+
+
+def loop_rule(score, lattice):
+    """The elimination loop's rule on a full score, derived from the lattice."""
+    narrows = any(
+        not lattice.frozen[i] and len(score.covered[i]) < len(lattice.remaining[i])
+        for i in score.covered_words
+    )
+    assert score.resolvable == narrows
+    return narrows and len({lattice.lemmas[i] for i in score.covered_words}) >= 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**9),
+    meronymy=st.booleans(),
+    mode=st.sampled_from([NhypMode.LOCAL, NhypMode.GLOBAL]),
+    dedup=st.booleans(),
+)
+def test_qualifying_is_full_list_filtered_by_loop_rule(seed, meronymy, mode, dedup):
+    rng = random.Random(seed)
+    t = random_taxonomy(rng, max_synsets=40, min_synsets=2, meronymy=meronymy)
+    window = random_window(rng, t, max_words=7)
+    params = DensityParams(nhyp_mode=mode, relation_mode=t.relation_mode)
+    lattice = Lattice(
+        lemmas=tuple(lemma for lemma, _ in window),
+        remaining=[set(senses) for _, senses in window],
+        frozen=[rng.random() < 0.3 for _ in window],
+    )
+    full = score_candidates(t, lattice, params, dedup)
+    fast = score_candidates(t, lattice, params, dedup, qualifying=True)
+    assert fast == [s for s in full if loop_rule(s, lattice)]

@@ -15,13 +15,16 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cdwsd.density import DensityParams, NhypMode
+from cdwsd.density import DensityParams, Lattice, NhypMode, score_candidates
 from cdwsd.disambiguator import (
     Assignment,
     Method,
     NounOccurrence,
     Outcome,
+    WindowTrace,
     build_window,
     disambiguate_document,
     disambiguate_window,
@@ -295,3 +298,62 @@ def test_assigned_senses_belong_to_lemma():
                 assert 1 < len(a.senses) < len(allowed)
             else:
                 assert a.senses == ()
+
+
+def reference_window(t, window, params):
+    """The elimination loop over the full scorer and an explicit loop rule."""
+    occ = window.members[window.target]
+    all_senses = t.senses_of(occ.lemma)
+    if len(all_senses) == 1:
+        return Assignment(occ, Outcome.FULL, all_senses, Method.MONOSEMOUS), WindowTrace([])
+    lattice = Lattice.for_window(t, [o.lemma for o in window.members])
+    winners, winning_cd = [], None
+    while True:
+        winner = next(
+            (
+                s
+                for s in score_candidates(t, lattice, params)
+                if len({lattice.lemmas[i] for i in s.covered_words}) >= 2
+                and any(
+                    not lattice.frozen[i] and len(s.covered[i]) < len(lattice.remaining[i])
+                    for i in s.covered_words
+                )
+            ),
+            None,
+        )
+        if winner is None:
+            break
+        assert len(winners) < len(window.members)  # each winner freezes a word
+        winners.append(winner)
+        for idx in winner.covered_words:
+            if not lattice.frozen[idx]:
+                lattice.remaining[idx] = set(winner.covered[idx])
+                lattice.frozen[idx] = True
+                if idx == window.target and winning_cd is None:
+                    winning_cd = winner.cd
+    left = tuple(sorted(lattice.remaining[window.target]))
+    if len(left) == 1:
+        outcome = Outcome.FULL
+    elif len(left) < len(all_senses):
+        outcome = Outcome.PARTIAL
+    else:
+        outcome, left, winning_cd = Outcome.NONE, (), None
+    return Assignment(occ, outcome, left, Method.DENSITY, winning_cd), WindowTrace(winners)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**9),
+    meronymy=st.booleans(),
+    mode=st.sampled_from([NhypMode.LOCAL, NhypMode.GLOBAL]),
+    size=st.sampled_from([1, 3, 5, 7, 9]),
+)
+def test_window_matches_reference_loop(seed, meronymy, mode, size):
+    rng = random.Random(seed)
+    t = random_taxonomy(rng, max_synsets=40, min_synsets=2, meronymy=meronymy)
+    params = DensityParams(nhyp_mode=mode, relation_mode=t.relation_mode)
+    lemmas = sorted(t.lemma_index)
+    nouns = occurrences(*[rng.choice(lemmas) for _ in range(rng.randint(1, 12))])
+    for target in range(len(nouns)):
+        window = build_window(nouns, target, size)
+        assert disambiguate_window(t, window, params) == reference_window(t, window, params)
