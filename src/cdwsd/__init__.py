@@ -28,6 +28,7 @@ from .corpus import (
     serialize_semcor,
 )
 from .density import (
+    ConfigError,
     DensityParams,
     DensityScore,
     Lattice,

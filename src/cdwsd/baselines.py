@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import IO, Sequence
 
 from .corpus import ExtractedNouns, SenseKey
+from .density import ConfigError
 from .disambiguator import Assignment, Method, NounOccurrence, Outcome, build_window
 from .evaluation import Level, Population
 from .taxonomy import Taxonomy
@@ -184,7 +185,7 @@ def build_salience(
                 word_counts[member.lemma] += 1
                 cat_counts[cat] += 1
     if targets == 0:
-        raise ValueError("training corpus has no gold-tagged nouns")
+        raise ConfigError("training corpus has no gold-tagged nouns")
 
     table = SalienceTable()
     table.priors = {cat: target_cats[cat] / targets for cat in target_cats}

@@ -27,7 +27,7 @@ from .corpus import (
     parse_plain,
     parse_semcor,
 )
-from .density import DensityParams, NhypMode
+from .density import ConfigError, DensityParams, NhypMode
 from .disambiguator import (
     Assignment,
     apply_random_fallback,
@@ -50,10 +50,6 @@ EXIT_PARSE = 1
 EXIT_CONFIG = 2
 
 STATS_HEADER = "text\twords\tnouns\tnouns_in_lexicon\tmonosemous"
-
-
-class ConfigError(Exception):
-    pass
 
 
 def _add_common(parser: argparse.ArgumentParser, system_flags: bool) -> None:
@@ -136,7 +132,7 @@ def _odd(window: int) -> int:
 
 def _load_taxonomy(args) -> Taxonomy:
     mode = RelationMode(args.relations)
-    with open(args.taxonomy, "r", encoding="utf-8-sig") as fh:
+    with open(args.taxonomy, "r", encoding="utf-8") as fh:
         return load_taxonomy(fh, mode)
 
 
@@ -145,7 +141,7 @@ def _read_documents(args, t: Taxonomy) -> list[tuple[str, ExtractedNouns]]:
     docs = []
     for path in args.input:
         name = Path(path).stem
-        with open(path, "r", encoding="utf-8-sig") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             if args.format == "semcor":
                 extracted = extract_nouns(parse_semcor(fh, doc_id=name), t)
             else:
@@ -158,7 +154,7 @@ def _read_documents(args, t: Taxonomy) -> list[tuple[str, ExtractedNouns]]:
 def _train_docs(args, t: Taxonomy) -> list[ExtractedNouns]:
     train = []
     for path in args.train:
-        with open(path, "r", encoding="utf-8-sig") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             train.append(extract_nouns(parse_semcor(fh, doc_id=Path(path).stem), t))
     return train
 
@@ -175,7 +171,6 @@ def _system_assignments(
         params = DensityParams(
             smoothing_exponent=args.exponent,
             nhyp_mode=NhypMode(args.nhyp),
-            relation_mode=t.relation_mode,
         )
         rng = random.Random(args.seed)
 
@@ -214,7 +209,7 @@ def cmd_stats(args) -> int:
     totals = [0, 0, 0, 0]
     for path in args.input:
         name = Path(path).stem
-        with open(path, "r", encoding="utf-8-sig") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             if args.format == "semcor":
                 stats = corpus_stats(parse_semcor(fh, doc_id=name), t)
             else:
@@ -334,7 +329,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (TaxonomyError, CorpusError, UnicodeDecodeError) as exc:
         print(f"cdwsd: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ConfigError, OSError, ValueError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"cdwsd: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 from .disambiguator import NounOccurrence
-from .taxonomy import Taxonomy
+from .taxonomy import Taxonomy, read_lines
 
 
 class CorpusError(ValueError):
@@ -126,11 +126,8 @@ def parse_semcor(stream: IO, doc_id: str = "") -> Document:
         )
         cur = None
 
-    for lineno, raw in enumerate(stream, start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
+    for lineno, line in read_lines(stream):
         pos = 0
-        line = raw.rstrip("\n").rstrip("\r")
         while pos < len(line):
             m = _ELEMENT.search(line, pos)
             if m is None:
@@ -255,10 +252,8 @@ def parse_plain(stream: IO) -> list[NounOccurrence]:
     """Whitespace-separated lemmas, one sentence per line; blank lines skipped."""
     occurrences: list[NounOccurrence] = []
     sent_id = 0
-    for raw in stream:
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-        lemmas = raw.split()
+    for _, line in read_lines(stream):
+        lemmas = line.split()
         if not lemmas:
             continue
         for lemma in lemmas:

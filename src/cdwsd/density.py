@@ -16,11 +16,15 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .taxonomy import RelationMode, SubhierarchyMetrics, Taxonomy
+from .taxonomy import SubhierarchyMetrics, Taxonomy
+
+
+class ConfigError(ValueError):
+    """A parameter or training input the run cannot be configured with."""
 
 
 class NhypMode(enum.Enum):
@@ -34,11 +38,10 @@ class DensityParams:
 
     smoothing_exponent: float = 0.20
     nhyp_mode: NhypMode = NhypMode.GLOBAL
-    relation_mode: RelationMode = RelationMode.HYPERNYMY
 
     def __post_init__(self):
         if not self.smoothing_exponent > 0:
-            raise ValueError("smoothing_exponent must be > 0")
+            raise ConfigError("smoothing_exponent must be > 0")
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,6 @@ class Lattice:
     lemmas: tuple[str, ...]
     remaining: list[set[str]]
     frozen: list[bool]
-    candidates: set[str] = field(default_factory=set)
 
     @classmethod
     def for_window(cls, t: Taxonomy, lemmas: Sequence[str]) -> "Lattice":
@@ -116,18 +118,6 @@ class Lattice:
                 raise ValueError(f"lemma {lemma!r} is not in the taxonomy")
         return cls(lemmas=tuple(lemmas), remaining=remaining,
                    frozen=[False] * len(remaining))
-
-    def refresh_candidates(self, t: Taxonomy) -> None:
-        """Recompute ``candidates``: the ancestors of all remaining senses.
-
-        Scoring does not read ``candidates`` (``score_candidates`` derives
-        them from ``remaining``), so only a caller that wants the set itself
-        needs this.
-        """
-        self.candidates = set()
-        for senses in self.remaining:
-            for s in senses:
-                self.candidates |= t.ancestors_of(s)
 
     def open_indices(self) -> list[int]:
         """Occurrences that are neither frozen nor down to one sense."""
@@ -150,9 +140,8 @@ def score_candidates(
 
     Candidates are the union of ancestors of all remaining senses.  Coverage
     is accumulated in one pass over the (small) ancestor sets of those
-    senses rather than by downward reachability; ``lattice.candidates`` is
-    not read.  Ordering: cd descending, then fewer descendants (tighter
-    subhierarchy), then ascending id.
+    senses rather than by downward reachability.  Ordering: cd descending,
+    then fewer descendants (tighter subhierarchy), then ascending id.
 
     With ``qualifying`` set, only the concepts the elimination loop may
     select are scored: those that cover at least two occurrences, strictly
@@ -161,11 +150,6 @@ def score_candidates(
     any metric or density is computed, so the result is the full list
     filtered by that rule, in the same order.
     """
-    if params.relation_mode is not t.relation_mode:
-        raise ValueError(
-            f"params expect relations {params.relation_mode.value!r} but the "
-            f"taxonomy was loaded with {t.relation_mode.value!r}"
-        )
     if not lattice.lemmas:
         raise ValueError("empty lattice")
 

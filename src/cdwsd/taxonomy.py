@@ -4,8 +4,12 @@ The taxonomy is a DAG of synsets connected by hypernym (is-a) edges and,
 optionally, meronym (whole-part) edges.  Hypernym edges must be acyclic;
 once meronym edges are folded in as additional parent->child links the
 combined graph may contain cycles, so every traversal here uses a visited
-set.  A loaded Taxonomy is immutable; metric queries are memoized with
-single-assignment semantics and are safe to share across threads.
+set.  One strongly-connected-component pass per load over the downward
+graph of the relation mode finds the nodes on cycles: a hypernym cycle
+among them is rejected, and a concept that can reach one gets its height
+from an exhaustive simple-path search.  A loaded Taxonomy is immutable;
+metric queries are memoized with single-assignment semantics and are safe
+to share across threads.
 
 Input format (TIF, "taxonomy interchange format"): line-oriented UTF-8,
 tab-separated, ``#`` starts a comment line.
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import IO, AbstractSet, Iterable, Iterator
+from typing import IO, AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 
 class RelationMode(enum.Enum):
@@ -111,6 +115,67 @@ def solve_nhyp(descendants: int, height: int) -> float:
     return 0.5 * (lo + hi)
 
 
+def _nodes_on_cycles(adjacency: Mapping[str, Sequence[str]]) -> set[str]:
+    """Nodes on a directed cycle: in a multi-node SCC or with a self-loop.
+
+    Tarjan's algorithm, iterative.  Every edge must end at a key of
+    ``adjacency``.
+    """
+    index: dict[str, int] = {}
+    lowlink: dict[str, int] = {}
+    on_stack: set[str] = set()
+    scc_stack: list[str] = []
+    cyclic: set[str] = set()
+    counter = 0
+    for root in adjacency:
+        if root in index:
+            continue
+        work: list[tuple[str, int]] = [(root, 0)]
+        while work:
+            node, child_i = work[-1]
+            if child_i == 0:
+                index[node] = lowlink[node] = counter
+                counter += 1
+                scc_stack.append(node)
+                on_stack.add(node)
+            kids = adjacency[node]
+            if child_i < len(kids):
+                work[-1] = (node, child_i + 1)
+                nxt = kids[child_i]
+                if nxt not in index:
+                    work.append((nxt, 0))
+                elif nxt in on_stack:
+                    lowlink[node] = min(lowlink[node], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
+                if lowlink[node] == index[node]:
+                    comp = []
+                    while True:
+                        member = scc_stack.pop()
+                        on_stack.discard(member)
+                        comp.append(member)
+                        if member == node:
+                            break
+                    if len(comp) > 1 or node in kids:
+                        cyclic.update(comp)
+    return cyclic
+
+
+def _reach(starts: Iterable[str], adjacency: Mapping[str, Sequence[str]]) -> frozenset[str]:
+    """Every node reachable from ``starts`` along ``adjacency``, starts included."""
+    seen = set(starts)
+    frontier = list(seen)
+    while frontier:
+        for nxt in adjacency[frontier.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return frozenset(seen)
+
+
 class Taxonomy:
     """Immutable, validated noun taxonomy with memoized metric queries."""
 
@@ -129,7 +194,6 @@ class Taxonomy:
         self._metrics: dict[str, SubhierarchyMetrics] = {}
         self._ancestors: dict[str, frozenset[str]] = {}
         self._heights: dict[str, int] = {}
-        self._reach_cycle_memo: dict[str, bool] = {}
         self._global_nhyp: float | None = None
 
     # -- construction ------------------------------------------------------
@@ -150,31 +214,6 @@ class Taxonomy:
                     raise TaxonomyError(
                         f"synset {syn.id!r} references unknown meronym {other!r}"
                     )
-
-        # Hypernym edges must be acyclic (iterative three-color DFS).
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = {sid: WHITE for sid in self.synsets}
-        for start in self.synsets:
-            if color[start] != WHITE:
-                continue
-            stack: list[tuple[str, Iterator[str]]] = [
-                (start, iter(self.synsets[start].hypernym_ids))
-            ]
-            color[start] = GRAY
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if color[nxt] == GRAY:
-                        raise TaxonomyError(f"hypernym cycle through {nxt!r}")
-                    if color[nxt] == WHITE:
-                        color[nxt] = GRAY
-                        stack.append((nxt, iter(self.synsets[nxt].hypernym_ids)))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = BLACK
-                    stack.pop()
 
     def _build_indexes(self) -> None:
         self.lemma_index: dict[str, tuple[str, ...]] = {}
@@ -210,57 +249,20 @@ class Taxonomy:
                     up[part].add(syn.id)
         self._down = {sid: tuple(sorted(kids)) for sid, kids in down.items()}
         self._up = {sid: tuple(sorted(parents)) for sid, parents in up.items()}
+        del down, up  # free the sets before the SCC pass, where loading peaks
 
-        # Nodes on a downward cycle (only possible once meronymy is folded
-        # in); height computation needs to know whether the fast acyclic
-        # path is safe.
-        self._cyclic_nodes = self._find_cyclic_nodes()
-
-    def _find_cyclic_nodes(self) -> frozenset[str]:
-        # Tarjan SCC, iterative; nodes in a multi-node SCC or with a self-loop.
-        index: dict[str, int] = {}
-        lowlink: dict[str, int] = {}
-        on_stack: set[str] = set()
-        scc_stack: list[str] = []
-        cyclic: set[str] = set()
-        counter = 0
-        for root in self.synsets:
-            if root in index:
-                continue
-            work: list[tuple[str, int]] = [(root, 0)]
-            while work:
-                node, child_i = work[-1]
-                if child_i == 0:
-                    index[node] = lowlink[node] = counter
-                    counter += 1
-                    scc_stack.append(node)
-                    on_stack.add(node)
-                kids = self._down[node]
-                if child_i < len(kids):
-                    work[-1] = (node, child_i + 1)
-                    nxt = kids[child_i]
-                    if nxt not in index:
-                        work.append((nxt, 0))
-                    elif nxt in on_stack:
-                        lowlink[node] = min(lowlink[node], index[nxt])
-                else:
-                    work.pop()
-                    if work:
-                        parent = work[-1][0]
-                        lowlink[parent] = min(lowlink[parent], lowlink[node])
-                    if lowlink[node] == index[node]:
-                        comp = []
-                        while True:
-                            member = scc_stack.pop()
-                            on_stack.discard(member)
-                            comp.append(member)
-                            if member == node:
-                                break
-                        if len(comp) > 1:
-                            cyclic.update(comp)
-                        elif comp[0] in self._down[comp[0]]:
-                            cyclic.add(comp[0])
-        return frozenset(cyclic)
+        # One SCC pass finds every node on a downward cycle.  A hypernym
+        # cycle is a downward cycle too, so re-running the pass on the
+        # hypernym edges among those nodes alone finds any.
+        cyclic = _nodes_on_cycles(self._down)
+        hyper_cyclic = _nodes_on_cycles(
+            {sid: [p for p in self.synsets[sid].hypernym_ids if p in cyclic] for sid in cyclic}
+        )
+        if hyper_cyclic:
+            raise TaxonomyError(f"hypernym cycle through {min(hyper_cyclic)!r}")
+        # Nodes that can reach a cycle: heights below them need the
+        # exhaustive simple-path search.
+        self._cycle_ancestors = _reach(cyclic, self._up)
 
     # -- queries -----------------------------------------------------------
 
@@ -306,30 +308,13 @@ class Taxonomy:
         if cached is not None:
             return cached
         self._require(sense)
-        seen = {sense}
-        frontier = [sense]
-        while frontier:
-            node = frontier.pop()
-            for parent in self._up[node]:
-                if parent not in seen:
-                    seen.add(parent)
-                    frontier.append(parent)
-        result = frozenset(seen)
-        self._ancestors[sense] = result
+        result = self._ancestors[sense] = _reach((sense,), self._up)
         return result
 
     def descendant_set(self, concept: str) -> frozenset[str]:
         """Distinct synsets reachable downward from ``concept``, including it."""
         self._require(concept)
-        seen = {concept}
-        frontier = [concept]
-        while frontier:
-            node = frontier.pop()
-            for child in self._down[node]:
-                if child not in seen:
-                    seen.add(child)
-                    frontier.append(child)
-        return frozenset(seen)
+        return _reach((concept,), self._down)
 
     def distances(self, source: str, targets: AbstractSet[str]) -> dict[str, int]:
         """Shortest-path lengths from ``source`` to each of ``targets``.
@@ -364,34 +349,6 @@ class Taxonomy:
             frontier = nxt
         return found
 
-    def _reaches_cycle(self, concept: str) -> bool:
-        if not self._cyclic_nodes:
-            return False
-        memo = self._reach_cycle_memo
-        cached = memo.get(concept)
-        if cached is not None:
-            return cached
-        # Restricted to nodes that are not themselves on a cycle, the
-        # downward graph is acyclic, so a memoized post-order DFS is sound;
-        # cyclic nodes act as True leaves.
-        stack: list[tuple[str, Iterator[str]]] = [(concept, iter(self._down[concept]))]
-        while stack:
-            node, it = stack[-1]
-            if node in self._cyclic_nodes:
-                memo[node] = True
-                stack.pop()
-                continue
-            advanced = False
-            for child in it:
-                if child not in memo:
-                    stack.append((child, iter(self._down[child])))
-                    advanced = True
-                    break
-            if not advanced:
-                memo[node] = any(memo[c] for c in self._down[node])
-                stack.pop()
-        return memo[concept]
-
     def _height_of(self, concept: str) -> int:
         """Longest simple downward path, in edges.
 
@@ -404,17 +361,15 @@ class Taxonomy:
         if cached is not None:
             return cached
 
-        if not self._reaches_cycle(concept):
+        if concept not in self._cycle_ancestors:
             stack: list[tuple[str, Iterator[str]]] = [(concept, iter(self._down[concept]))]
             while stack:
                 node, it = stack[-1]
-                advanced = False
                 for child in it:
                     if child not in self._heights:
                         stack.append((child, iter(self._down[child])))
-                        advanced = True
                         break
-                if not advanced:
+                else:
                     self._heights[node] = max(
                         (self._heights[c] + 1 for c in self._down[node]), default=0
                     )
@@ -426,16 +381,14 @@ class Taxonomy:
         path_set = {concept}
         iters = [iter(self._down[concept])]
         while iters:
-            advanced = False
             for child in iters[-1]:
                 if child not in path_set:
                     path.append(child)
                     path_set.add(child)
                     iters.append(iter(self._down[child]))
                     best = max(best, len(path) - 1)
-                    advanced = True
                     break
-            if not advanced:
+            else:
                 iters.pop()
                 path_set.discard(path.pop())
         self._heights[concept] = best
@@ -447,7 +400,7 @@ class Taxonomy:
         if cached is not None:
             return cached
         self._require(concept)
-        descendants = len(self.descendant_set(concept))
+        descendants = len(_reach((concept,), self._down))
         height = self._height_of(concept)
         metrics = SubhierarchyMetrics(
             concept=concept,
@@ -481,10 +434,24 @@ def _parse_lemma_field(text: str, lineno: int) -> tuple[tuple[str, int], ...]:
         lemma, sep, lex = chunk.rpartition(":")
         if not sep or not lemma:
             raise TaxonomyError(f"bad lemma entry {chunk!r}", lineno)
-        if not lex.isdigit():
+        if not lex.isdecimal():
             raise TaxonomyError(f"lex_id must be a non-negative integer in {chunk!r}", lineno)
         lemmas.append((lemma.lower(), int(lex)))
     return tuple(lemmas)
+
+
+def read_lines(stream: IO) -> Iterator[tuple[int, str]]:
+    """(line number, text without its line ending) for each line of ``stream``.
+
+    Bytes are decoded as UTF-8.  A byte-order mark opening line 1 is
+    dropped, whether the stream yields bytes or text.
+    """
+    for lineno, raw in enumerate(stream, start=1):
+        if isinstance(raw, bytes):
+            raw = raw.decode("utf-8")
+        if lineno == 1:
+            raw = raw.removeprefix("\ufeff")
+        yield lineno, raw.rstrip("\n").rstrip("\r")
 
 
 def load_taxonomy(stream: IO, relation_mode: RelationMode = RelationMode.HYPERNYMY) -> Taxonomy:
@@ -499,10 +466,7 @@ def load_taxonomy(stream: IO, relation_mode: RelationMode = RelationMode.HYPERNY
     mero: dict[str, list[str]] = {}
     edges: list[tuple[str, str, str, int]] = []
 
-    for lineno, raw in enumerate(stream, start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-        line = raw.rstrip("\n").rstrip("\r")
+    for lineno, line in read_lines(stream):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")

@@ -83,7 +83,6 @@ def test_p1_density_oracle_brute_force():
             remaining=[set(senses) for _, senses in window],
             frozen=[False] * len(window),
         )
-        lattice.refresh_candidates(t)
         got = {
             s.concept: (s.marks, s.cd)
             for s in score_candidates(t, lattice, params, dedup_by_lemma=dedup)

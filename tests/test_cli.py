@@ -3,6 +3,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from cdwsd import cli
 from cdwsd.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, main
 
 from helpers import DATA
@@ -150,6 +151,43 @@ class TestDisambiguate:
              "--input", str(tmp_path)]
         )
         assert code == EXIT_CONFIG
+
+    def test_non_decimal_lex_id_is_parse_error(self, tmp_path, capsys):
+        tif = tmp_path / "superscript.tif"
+        tif.write_text("S\tx\tnoun.act\tthing:²\n", encoding="utf-8")
+        code, _ = run(
+            ["disambiguate", "--taxonomy", str(tif),
+             "--input", str(DATA / "toy_corpus.semcor")]
+        )
+        assert code == EXIT_PARSE
+        assert "line 1: lex_id must be a non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exponent", ["0", "nan"])
+    def test_bad_exponent_is_config_error(self, exponent, capsys):
+        code, _ = run(base_args("disambiguate") + ["--exponent", exponent])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "cdwsd: configuration error: smoothing_exponent must be > 0\n"
+        )
+
+    def test_untagged_training_is_config_error(self, tmp_path, capsys):
+        untagged = tmp_path / "untagged.semcor"
+        untagged.write_text("<s>\n<wd>trout</wd><tag>NN</tag>\n</s>\n")
+        code, _ = run(
+            base_args("disambiguate") + ["--baseline", "yarowsky", "--train", str(untagged)]
+        )
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "cdwsd: configuration error: training corpus has no gold-tagged nouns\n"
+        )
+
+    def test_library_value_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("library bug")
+
+        monkeypatch.setattr(cli, "disambiguate_document", broken)
+        with pytest.raises(ValueError, match="library bug"):
+            main(base_args("disambiguate"))
 
     def test_baseline_random(self):
         code, out = run(

@@ -22,7 +22,7 @@ from cdwsd.density import (
     conceptual_density,
     score_candidates,
 )
-from cdwsd.taxonomy import RelationMode, SubhierarchyMetrics
+from cdwsd.taxonomy import SubhierarchyMetrics
 
 from helpers import (
     brute_score_all,
@@ -161,12 +161,6 @@ class TestScoreCandidates:
         s2 = {s.concept: (s.cd, s.marks) for s in score_candidates(clusters, doubled, LOCAL)}
         assert s1 == s2
 
-    def test_relation_mode_mismatch_rejected(self, clusters):
-        lattice = Lattice.for_window(clusters, ["trout"])
-        bad = DensityParams(relation_mode=RelationMode.HYPERNYMY_MERONYMY)
-        with pytest.raises(ValueError, match="relations"):
-            score_candidates(clusters, lattice, bad)
-
     def test_covered_words_and_mark_floor(self, clusters):
         lattice = Lattice.for_window(clusters, ["trout", "bass", "salmon"])
         for s in score_candidates(clusters, lattice, LOCAL):
@@ -191,7 +185,6 @@ class TestScoreCandidates:
             remaining=[set(senses) for _, senses in window],
             frozen=[rng.random() < 0.3 for _ in window],
         )
-        lattice.refresh_candidates(t)
         got = {
             s.concept: (s.marks, s.cd)
             for s in score_candidates(t, lattice, params, dedup_by_lemma=dedup)
@@ -247,7 +240,7 @@ def test_qualifying_is_full_list_filtered_by_loop_rule(seed, meronymy, mode, ded
     rng = random.Random(seed)
     t = random_taxonomy(rng, max_synsets=40, min_synsets=2, meronymy=meronymy)
     window = random_window(rng, t, max_words=7)
-    params = DensityParams(nhyp_mode=mode, relation_mode=t.relation_mode)
+    params = DensityParams(nhyp_mode=mode)
     lattice = Lattice(
         lemmas=tuple(lemma for lemma, _ in window),
         remaining=[set(senses) for _, senses in window],

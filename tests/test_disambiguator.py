@@ -351,7 +351,7 @@ def reference_window(t, window, params):
 def test_window_matches_reference_loop(seed, meronymy, mode, size):
     rng = random.Random(seed)
     t = random_taxonomy(rng, max_synsets=40, min_synsets=2, meronymy=meronymy)
-    params = DensityParams(nhyp_mode=mode, relation_mode=t.relation_mode)
+    params = DensityParams(nhyp_mode=mode)
     lemmas = sorted(t.lemma_index)
     nouns = occurrences(*[rng.choice(lemmas) for _ in range(rng.randint(1, 12))])
     for target in range(len(nouns)):

@@ -15,6 +15,7 @@ from cdwsd.taxonomy import (
 )
 
 from helpers import (
+    brute_children,
     brute_height,
     brute_reachable,
     build_taxonomy,
@@ -88,6 +89,11 @@ class TestLoading:
     def test_bad_lex_id(self):
         with pytest.raises(TaxonomyError, match="lex_id"):
             build_taxonomy("S\tx\tnoun.act\tthing:zero\n")
+
+    def test_non_decimal_lex_id(self):
+        # "²" is a digit to str.isdigit but not an integer to int()
+        with pytest.raises(TaxonomyError, match="line 1: lex_id"):
+            build_taxonomy("S\tx\tnoun.act\tthing:²\n")
 
     def test_unknown_record_type(self):
         with pytest.raises(TaxonomyError, match="unknown record type"):
@@ -211,6 +217,79 @@ class TestCyclicMeronymy:
         # the cycle check must ignore meronym edges
         t = build_taxonomy(self.CYCLE, RelationMode.HYPERNYMY)
         assert t.descendant_set("a") == {"a", "b", "c"}
+
+
+def random_edges_tif(rng, hypernyms_any_direction):
+    """At most ten synsets; meronym edges in any direction, so they may close
+    cycles.  Hypernym edges point to a lower id unless any direction is
+    allowed.  Returns the text and the hypernym edges as (child, parent)."""
+    n = rng.randint(1, 10)
+    lines = [f"S\tn{i}\tnoun.act\tw{i}:0" for i in range(n)]
+    hyper = set()
+    for child in range(n):
+        for _ in range(rng.choice([0, 1, 1, 2])):
+            if hypernyms_any_direction:
+                hyper.add((child, rng.randrange(n)))
+            elif child:
+                hyper.add((child, rng.randrange(child)))
+    lines += [f"H\tn{c}\tn{p}" for c, p in sorted(hyper)]
+    for _ in range(rng.randint(0, n)):
+        lines.append(f"M\tn{rng.randrange(n)}\tn{rng.randrange(n)}")
+    return "\n".join(lines) + "\n", hyper
+
+
+def longest_simple_path(down, node, on_path=frozenset()):
+    on_path = on_path | {node}
+    return max(
+        (1 + longest_simple_path(down, c, on_path) for c in down[node] if c not in on_path),
+        default=0,
+    )
+
+
+def assert_metrics_match_oracles(t):
+    down = brute_children(t)
+    heights = {c: longest_simple_path(down, c) for c in t.synsets}
+    for concept in t.synsets:
+        m = t.subhierarchy_metrics(concept)
+        assert m.height == heights[concept]
+        assert m.descendants == len(brute_reachable(t, concept))
+    big_h = max(heights[r] for r in t.roots) if t.roots else 0
+    assert t.global_nhyp() == solve_nhyp(len(t), big_h)
+
+
+class TestCycles:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**9))
+    def test_heights_match_longest_simple_path(self, seed):
+        text, _ = random_edges_tif(random.Random(seed), hypernyms_any_direction=False)
+        for mode in RelationMode:
+            assert_metrics_match_oracles(build_taxonomy(text, mode))
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**9), mode=st.sampled_from(list(RelationMode)))
+    def test_hypernym_cycle_rejected_iff_one_exists(self, seed, mode):
+        text, hyper = random_edges_tif(random.Random(seed), hypernyms_any_direction=True)
+        parents: dict[int, set[int]] = {}
+        for c, p in hyper:
+            parents.setdefault(c, set()).add(p)
+
+        def on_hypernym_cycle(node):
+            seen, frontier = set(), list(parents.get(node, ()))
+            while frontier:
+                nxt = frontier.pop()
+                if nxt == node:
+                    return True
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.extend(parents.get(nxt, ()))
+            return False
+
+        on_cycle = sorted(f"n{i}" for i in {c for c, _ in hyper} if on_hypernym_cycle(i))
+        if on_cycle:
+            with pytest.raises(TaxonomyError, match=f"^hypernym cycle through '{on_cycle[0]}'$"):
+                build_taxonomy(text, mode)
+        else:
+            assert_metrics_match_oracles(build_taxonomy(text, mode))
 
 
 class TestProperties:
