@@ -12,13 +12,13 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import IO, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
-from .corpus import ExtractedNouns, SenseKey
+from .corpus import CorpusError, ExtractedNouns, SenseKey
 from .density import ConfigError
 from .disambiguator import Assignment, Method, NounOccurrence, Outcome, build_window
 from .evaluation import Level, Population
-from .taxonomy import Taxonomy
+from .taxonomy import Taxonomy, read_lines
 
 
 # -- random guessing ---------------------------------------------------------
@@ -91,9 +91,6 @@ class FrequencyTable:
 
     counts: dict[tuple[str, str], int] = field(default_factory=dict)
 
-    def lemmas(self) -> set[str]:
-        return {lemma for lemma, _ in self.counts}
-
     def best_sense(self, t: Taxonomy, lemma: str) -> str | None:
         """Most counted sense of ``lemma``; ties go to the ascending id."""
         candidates = [
@@ -149,9 +146,6 @@ class SalienceTable:
 
     salience: dict[tuple[str, str], float] = field(default_factory=dict)
     priors: dict[str, float] = field(default_factory=dict)
-
-    def categories(self) -> list[str]:
-        return sorted(self.priors)
 
 
 def build_salience(
@@ -400,16 +394,29 @@ def save_frequency_table(table: FrequencyTable, out: IO) -> None:
         out.write(f"{lemma}\t{synset}\t{count}\n")
 
 
-def load_frequency_table(stream: IO) -> FrequencyTable:
-    table = FrequencyTable()
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\n")
+def _read_table(stream: IO, number: Callable[[str], float]) -> Iterator[tuple[str, str, float]]:
+    """``(key, key, number)`` per non-blank row of a saved table, bytes or text.
+
+    Raises CorpusError with the line number for a row that does not hold
+    three tab-separated fields or whose last field ``number`` rejects.
+    """
+    for lineno, line in read_lines(stream):
         if not line.strip():
             continue
         fields = line.split("\t")
         if len(fields) != 3:
-            raise ValueError(f"line {lineno}: expected 3 tab-separated fields")
-        table.counts[(fields[0], fields[1])] = int(fields[2])
+            raise CorpusError("expected 3 tab-separated fields", lineno)
+        try:
+            value = number(fields[2])
+        except ValueError:
+            raise CorpusError(f"bad number {fields[2]!r}", lineno) from None
+        yield fields[0], fields[1], value
+
+
+def load_frequency_table(stream: IO) -> FrequencyTable:
+    table = FrequencyTable()
+    for lemma, synset, count in _read_table(stream, int):
+        table.counts[(lemma, synset)] = count
     return table
 
 
@@ -423,16 +430,9 @@ def save_salience_table(table: SalienceTable, out: IO) -> None:
 
 def load_salience_table(stream: IO) -> SalienceTable:
     table = SalienceTable()
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ValueError(f"line {lineno}: expected 3 tab-separated fields")
-        lemma, cat, value = fields
+    for lemma, cat, value in _read_table(stream, float):
         if lemma == _PRIOR_MARKER:
-            table.priors[cat] = float(value)
+            table.priors[cat] = value
         else:
-            table.salience[(lemma, cat)] = float(value)
+            table.salience[(lemma, cat)] = value
     return table

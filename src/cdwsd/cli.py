@@ -12,6 +12,7 @@ import argparse
 import io
 import random
 import sys
+from dataclasses import astuple
 from functools import partial
 from pathlib import Path
 from typing import Sequence
@@ -21,7 +22,6 @@ from .corpus import (
     CorpusError,
     CorpusStats,
     ExtractedNouns,
-    corpus_stats,
     extract_nouns,
     filter_in_vocabulary,
     parse_plain,
@@ -136,27 +136,20 @@ def _load_taxonomy(args) -> Taxonomy:
         return load_taxonomy(fh, mode)
 
 
-def _read_documents(args, t: Taxonomy) -> list[tuple[str, ExtractedNouns]]:
-    """(doc id, extracted noun stream) per input, in command-line order."""
+def _read_documents(
+    paths: Sequence[str], fmt: str, t: Taxonomy
+) -> list[tuple[str, ExtractedNouns]]:
+    """(doc id, extracted noun stream) per file in ``fmt``, in the given order."""
     docs = []
-    for path in args.input:
+    for path in paths:
         name = Path(path).stem
         with open(path, "r", encoding="utf-8") as fh:
-            if args.format == "semcor":
+            if fmt == "semcor":
                 extracted = extract_nouns(parse_semcor(fh, doc_id=name), t)
             else:
-                kept, dropped = filter_in_vocabulary(parse_plain(fh), t)
-                extracted = ExtractedNouns(tuple(kept), (None,) * len(kept), dropped)
+                extracted = filter_in_vocabulary(parse_plain(fh), t)
         docs.append((name, extracted))
     return docs
-
-
-def _train_docs(args, t: Taxonomy) -> list[ExtractedNouns]:
-    train = []
-    for path in args.train:
-        with open(path, "r", encoding="utf-8") as fh:
-            train.append(extract_nouns(parse_semcor(fh, doc_id=Path(path).stem), t))
-    return train
 
 
 def _system_assignments(
@@ -165,8 +158,10 @@ def _system_assignments(
     """Run the configured system over every document; one list per document.
 
     The random fallback consumes a single seeded generator across the whole
-    run, in document order.
+    run, in document order.  Training text is always in the tagged format.
     """
+    if args.baseline in ("mfs", "yarowsky"):
+        train = [doc for _, doc in _read_documents(args.train, "semcor", t)]
     if args.baseline is None:
         params = DensityParams(
             smoothing_exponent=args.exponent,
@@ -183,10 +178,10 @@ def _system_assignments(
     elif args.baseline == "random":
         run = partial(bl.random_baseline, t=t, seed=args.seed)
     elif args.baseline == "mfs":
-        table = bl.build_frequency(t, _train_docs(args, t))
+        table = bl.build_frequency(t, train)
         run = partial(bl.most_frequent_baseline, t=t, freq=table)
     elif args.baseline == "yarowsky":
-        table = bl.build_salience(_train_docs(args, t), t, window_size=window)
+        table = bl.build_salience(train, t, window_size=window)
         run = partial(bl.yarowsky_baseline, t, table=table, window_size=window)
     elif args.baseline == "sussna":
         run = partial(bl.sussna_baseline, t=t, window_size=window, seed=args.seed)
@@ -205,36 +200,17 @@ def _emit(args, text: str) -> None:
 
 def cmd_stats(args) -> int:
     t = _load_taxonomy(args)
-    rows = []
-    totals = [0, 0, 0, 0]
-    for path in args.input:
-        name = Path(path).stem
-        with open(path, "r", encoding="utf-8") as fh:
-            if args.format == "semcor":
-                stats = corpus_stats(parse_semcor(fh, doc_id=name), t)
-            else:
-                occurrences = parse_plain(fh)
-                kept, _ = filter_in_vocabulary(occurrences, t)
-                mono = sum(1 for o in kept if len(t.senses_of(o.lemma)) == 1)
-                stats = CorpusStats(
-                    len(occurrences), len(occurrences), len(kept), mono
-                )
-        rows.append(
-            f"{name}\t{stats.words}\t{stats.nouns}\t{stats.nouns_in_taxonomy}"
-            f"\t{stats.monosemous} ({stats.monosemous_pct()}%)"
-        )
-        for i, v in enumerate(
-            (stats.words, stats.nouns, stats.nouns_in_taxonomy, stats.monosemous)
-        ):
-            totals[i] += v
-    if len(args.input) > 1:
-        pct = 0
-        if totals[2]:
-            q, r = divmod(100 * totals[3], totals[2])
-            pct = q + (1 if 2 * r >= totals[2] else 0)
-        rows.append(
-            f"total\t{totals[0]}\t{totals[1]}\t{totals[2]}\t{totals[3]} ({pct}%)"
-        )
+    per_text = [
+        (name, doc.stats(t)) for name, doc in _read_documents(args.input, args.format, t)
+    ]
+    if len(per_text) > 1:
+        columns = zip(*(astuple(stats) for _, stats in per_text))
+        per_text.append(("total", CorpusStats(*map(sum, columns))))
+    rows = [
+        f"{name}\t{stats.words}\t{stats.nouns}\t{stats.nouns_in_taxonomy}"
+        f"\t{stats.monosemous} ({stats.monosemous_pct()}%)"
+        for name, stats in per_text
+    ]
     _emit(args, STATS_HEADER + "\n" + "\n".join(rows) + "\n")
     return EXIT_OK
 
@@ -242,7 +218,7 @@ def cmd_stats(args) -> int:
 def cmd_disambiguate(args) -> int:
     t = _load_taxonomy(args)
     window = _odd(args.window)
-    docs = _read_documents(args, t)
+    docs = _read_documents(args.input, args.format, t)
     _check_baseline_config(args, evaluating=False)
     _, per_doc = _system_assignments(args, t, docs, window)
     buf = io.StringIO()
@@ -284,7 +260,7 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("evaluate needs gold tags: --format semcor")
     t = _load_taxonomy(args)
     _check_baseline_config(args, evaluating=True)
-    docs = _read_documents(args, t)
+    docs = _read_documents(args.input, args.format, t)
     _require_gold(docs)
     report = _evaluate_once(args, t, docs, _odd(args.window))
     _emit(args, report_block(report) + "\n" + report_tsv(report))
@@ -302,7 +278,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--windows must list at least one size")
     t = _load_taxonomy(args)
     _check_baseline_config(args, evaluating=True)
-    docs = _read_documents(args, t)
+    docs = _read_documents(args.input, args.format, t)
     _require_gold(docs)
     lines = ["window\tcoverage\tprecision\trecall"]
     for w in windows:

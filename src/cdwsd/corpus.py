@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 from .disambiguator import NounOccurrence
 from .taxonomy import Taxonomy, read_lines
@@ -62,10 +62,6 @@ class SemcorToken:
 class Document:
     id: str
     sentences: tuple[tuple[SemcorToken, ...], ...]
-
-    def tokens(self) -> Iterable[SemcorToken]:
-        for sentence in self.sentences:
-            yield from sentence
 
 
 @dataclass(frozen=True)
@@ -198,11 +194,26 @@ def serialize_semcor(doc: Document) -> str:
 
 @dataclass(frozen=True)
 class ExtractedNouns:
-    """The disambiguation input stream drawn from one document."""
+    """The disambiguation input stream drawn from one document.
+
+    ``words`` counts every token of the source; the nouns in it are the
+    kept occurrences plus the ``out_of_vocabulary`` ones.
+    """
 
     occurrences: tuple[NounOccurrence, ...]
     gold: tuple[SenseKey | None, ...]
     out_of_vocabulary: int
+    words: int
+
+    def stats(self, t: Taxonomy) -> CorpusStats:
+        """Corpus statistics of the source, polysemy looked up in ``t``."""
+        monosemous = sum(len(t.senses_of(o.lemma)) == 1 for o in self.occurrences)
+        return CorpusStats(
+            self.words,
+            len(self.occurrences) + self.out_of_vocabulary,
+            len(self.occurrences),
+            monosemous,
+        )
 
 
 def extract_nouns(doc: Document, t: Taxonomy) -> ExtractedNouns:
@@ -214,8 +225,9 @@ def extract_nouns(doc: Document, t: Taxonomy) -> ExtractedNouns:
     """
     occurrences: list[NounOccurrence] = []
     gold: list[SenseKey | None] = []
-    oov = 0
+    oov = words = 0
     for sent_id, sentence in enumerate(doc.sentences):
+        words += len(sentence)
         for tok in sentence:
             if not tok.is_noun():
                 continue
@@ -230,22 +242,11 @@ def extract_nouns(doc: Document, t: Taxonomy) -> ExtractedNouns:
                 )
             )
             gold.append(tok.sense_key)
-    return ExtractedNouns(tuple(occurrences), tuple(gold), oov)
+    return ExtractedNouns(tuple(occurrences), tuple(gold), oov, words)
 
 
 def corpus_stats(doc: Document, t: Taxonomy) -> CorpusStats:
-    words = nouns = in_tax = mono = 0
-    for tok in doc.tokens():
-        words += 1
-        if not tok.is_noun():
-            continue
-        nouns += 1
-        senses = t.senses_of(tok.lemma)
-        if senses:
-            in_tax += 1
-            if len(senses) == 1:
-                mono += 1
-    return CorpusStats(words, nouns, in_tax, mono)
+    return extract_nouns(doc, t).stats(t)
 
 
 def parse_plain(stream: IO) -> list[NounOccurrence]:
@@ -270,8 +271,11 @@ def parse_plain(stream: IO) -> list[NounOccurrence]:
 
 def filter_in_vocabulary(
     occurrences: Sequence[NounOccurrence], t: Taxonomy
-) -> tuple[list[NounOccurrence], int]:
-    """Drop occurrences the taxonomy cannot sense, re-indexing positions."""
+) -> ExtractedNouns:
+    """Drop occurrences the taxonomy cannot sense, re-indexing positions.
+
+    Every lemma read counts as a word and a noun; there are no gold keys.
+    """
     kept: list[NounOccurrence] = []
     dropped = 0
     for occ in occurrences:
@@ -285,4 +289,4 @@ def filter_in_vocabulary(
             )
         else:
             dropped += 1
-    return kept, dropped
+    return ExtractedNouns(tuple(kept), (None,) * len(kept), dropped, len(occurrences))

@@ -59,11 +59,10 @@ class NounOccurrence:
 
 @dataclass(frozen=True)
 class Window:
-    """Up to ``size_param`` noun occurrences centred on ``target``."""
+    """Consecutive noun occurrences built around ``members[target]``."""
 
     target: int
     members: tuple[NounOccurrence, ...]
-    size_param: int
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,6 @@ def build_window(
     return Window(
         target=target - lo,
         members=tuple(nouns[lo : hi + 1]),
-        size_param=size_param,
     )
 
 

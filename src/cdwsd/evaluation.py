@@ -103,9 +103,7 @@ def score(
             if key is not None
             else None
         )
-        is_answered = a.outcome is Outcome.FULL or (
-            lenient and a.outcome is Outcome.PARTIAL
-        )
+        is_answered = a.is_answered() or (lenient and a.outcome is Outcome.PARTIAL)
         if gold_synset is None:
             unresolvable += 1
             if is_answered:
@@ -135,14 +133,21 @@ def score(
     )
 
 
+def _require_same_scale(reports: Sequence[EvalReport]) -> None:
+    """Raise unless every report shares the first one's level and population."""
+    if any(
+        r.level is not reports[0].level or r.population is not reports[0].population
+        for r in reports
+    ):
+        raise ValueError("reports disagree on level/population")
+
+
 def merge_reports(reports: Sequence[EvalReport]) -> EvalReport:
     """Add up per-document reports (counts are additive across shards)."""
     if not reports:
         raise ValueError("nothing to merge")
+    _require_same_scale(reports)
     first = reports[0]
-    for r in reports[1:]:
-        if r.level is not first.level or r.population is not first.population:
-            raise ValueError("reports disagree on level/population")
     return EvalReport(
         level=first.level,
         population=first.population,
@@ -163,12 +168,8 @@ def compare(reports: Sequence[EvalReport]) -> str:
     All reports must share level and population.  Percentages carry one
     decimal, rounded half-up.
     """
+    _require_same_scale(reports)
     lines = [COMPARE_HEADER]
-    if reports:
-        first = reports[0]
-        for r in reports:
-            if r.level is not first.level or r.population is not first.population:
-                raise ValueError("reports disagree on level/population")
     for r in reports:
         lines.append(
             f"{r.system}\t{format_pct(r.coverage)}"

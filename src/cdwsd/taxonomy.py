@@ -269,9 +269,6 @@ class Taxonomy:
     def __len__(self) -> int:
         return len(self.synsets)
 
-    def __contains__(self, concept: str) -> bool:
-        return concept in self.synsets
-
     def _require(self, concept: str) -> Synset:
         try:
             return self.synsets[concept]

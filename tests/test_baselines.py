@@ -44,7 +44,7 @@ from cdwsd.baselines import (
     sussna_baseline,
     yarowsky_baseline,
 )
-from cdwsd.corpus import SenseKey, extract_nouns, parse_semcor
+from cdwsd.corpus import CorpusError, SenseKey, extract_nouns, parse_semcor
 from cdwsd.disambiguator import Method, NounOccurrence, Outcome
 from cdwsd.evaluation import Level, Population
 from cdwsd.taxonomy import TaxonomyError
@@ -103,7 +103,7 @@ def train_extracted(t, lemma_cat_pairs):
     gold = tuple(SenseKey(cat, 0) for _, cat in lemma_cat_pairs)
     from cdwsd.corpus import ExtractedNouns
 
-    return ExtractedNouns(tuple(occs), gold, 0)
+    return ExtractedNouns(tuple(occs), gold, 0, len(occs))
 
 
 @pytest.fixture
@@ -288,6 +288,55 @@ class TestSalience:
         loaded = load_salience_table(io.StringIO(buf.getvalue()))
         assert loaded.salience == table.salience
         assert loaded.priors == table.priors
+
+
+class TestTableLoaders:
+    """Saved frequency and salience tables read back from text or bytes."""
+
+    FREQUENCY = FrequencyTable({("bass", "a02"): 2, ("trout", "a03"): 7})
+    SALIENCE_ROWS = "__prior__\tnoun.animal\t0.5\ndog\tnoun.animal\t0.25\n"
+
+    @staticmethod
+    def saved(save, table):
+        buf = io.StringIO()
+        save(table, buf)
+        return buf.getvalue()
+
+    def test_byte_order_mark_ignored(self):
+        text = self.saved(save_frequency_table, self.FREQUENCY)
+        loaded = load_frequency_table(io.StringIO("\ufeff" + text))
+        assert loaded.counts == self.FREQUENCY.counts
+        table = load_salience_table(io.StringIO(self.SALIENCE_ROWS))
+        text = self.saved(save_salience_table, table)
+        loaded = load_salience_table(io.StringIO("\ufeff" + text))
+        assert loaded.priors == {"noun.animal": 0.5}
+        assert loaded.salience == {("dog", "noun.animal"): 0.25}
+
+    def test_bytes_stream(self):
+        text = self.saved(save_frequency_table, self.FREQUENCY)
+        loaded = load_frequency_table(io.BytesIO(("\ufeff" + text).encode("utf-8")))
+        assert loaded.counts == self.FREQUENCY.counts
+        loaded = load_salience_table(io.BytesIO(self.SALIENCE_ROWS.encode("utf-8")))
+        assert loaded.priors == {"noun.animal": 0.5}
+        assert loaded.salience == {("dog", "noun.animal"): 0.25}
+
+    @pytest.mark.parametrize(
+        "load, text",
+        [
+            (load_frequency_table, "bass\ta02\t2\ntrout\ta03\tseven\n"),
+            (load_frequency_table, "bass\ta02\t2\ntrout\ta03\t7.5\n"),
+            (load_salience_table, "__prior__\tnoun.animal\t0.5\ndog\tnoun.animal\thigh\n"),
+        ],
+        ids=["word-count", "fractional-count", "word-value"],
+    )
+    def test_bad_number_names_line(self, load, text):
+        with pytest.raises(CorpusError, match="^line 2: "):
+            load(io.StringIO(text))
+
+    @pytest.mark.parametrize("load", [load_frequency_table, load_salience_table])
+    def test_wrong_field_count_names_line(self, load):
+        with pytest.raises(CorpusError, match="^line 1: expected 3 tab-separated fields"):
+            load(io.StringIO("bass\ta02\n"))
 
 
 class TestConceptualDistance:

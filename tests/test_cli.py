@@ -61,7 +61,25 @@ class TestStats:
         )
         assert code == EXIT_OK
         lines = out.splitlines()
-        assert lines[-1].startswith("total\t")
+        assert lines[-1] == "total\t16\t15\t14\t9 (64%)"
+
+    def test_plain_format_rows_and_total(self, tmp_path):
+        plain = tmp_path / "w.txt"
+        plain.write_text("trout mystery bass\nsalmon\n")
+        code, out = run(
+            [
+                "stats",
+                "--taxonomy", str(DATA / "two_clusters.tif"),
+                "--input", str(plain), str(plain),
+                "--format", "plain",
+            ]
+        )
+        assert code == EXIT_OK
+        assert out.splitlines()[1:] == [
+            "w\t4\t4\t3\t2 (67%)",
+            "w\t4\t4\t3\t2 (67%)",
+            "total\t8\t8\t6\t4 (67%)",
+        ]
 
     def test_parse_failure_exit_code(self, tmp_path):
         bad = tmp_path / "bad.semcor"
@@ -200,6 +218,21 @@ class TestDisambiguate:
     def test_baseline_mfs_requires_train(self):
         code, _ = run(base_args("disambiguate") + ["--baseline", "mfs"])
         assert code == EXIT_CONFIG
+
+    def test_missing_train_is_config_error(self, tmp_path):
+        code, _ = run(
+            base_args("disambiguate")
+            + ["--baseline", "mfs", "--train", str(tmp_path / "missing.semcor")]
+        )
+        assert code == EXIT_CONFIG
+
+    def test_undecodable_train_is_parse_error(self, tmp_path):
+        bad = tmp_path / "latin1.semcor"
+        bad.write_bytes("<s>\n<wd>caf\u00e9</wd><tag>NN</tag>\n</s>\n".encode("latin-1"))
+        code, _ = run(
+            base_args("disambiguate") + ["--baseline", "mfs", "--train", str(bad)]
+        )
+        assert code == EXIT_PARSE
 
     def test_baseline_mfs(self):
         code, out = run(

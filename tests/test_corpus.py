@@ -193,10 +193,10 @@ class TestParsePlain:
     def test_filter_in_vocabulary(self):
         t = load_data_taxonomy("two_clusters.tif")
         occ = parse_plain(io.StringIO("trout mystery bass\n"))
-        kept, dropped = filter_in_vocabulary(occ, t)
-        assert dropped == 1
-        assert [o.lemma for o in kept] == ["trout", "bass"]
-        assert [o.doc_position for o in kept] == [0, 1]
+        extracted = filter_in_vocabulary(occ, t)
+        assert extracted.out_of_vocabulary == 1
+        assert [o.lemma for o in extracted.occurrences] == ["trout", "bass"]
+        assert [o.doc_position for o in extracted.occurrences] == [0, 1]
 
 
 class TestLayoutFlexibility:
