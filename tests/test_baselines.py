@@ -478,3 +478,46 @@ class TestSussna:
             elif cost == best:
                 optima.append(combo)
         assert got == random.Random(seed).choice(optima)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        meronymy=st.booleans(),
+        window_size=st.sampled_from([1, 2, 3, 5, 41]),
+        mutual_size=st.sampled_from([0, 1, 3, 10]),
+        length=st.integers(0, 60),
+    )
+    def test_sequential_phase_equals_reference_loop(
+        self, seed, meronymy, window_size, mutual_size, length
+    ):
+        # several roots, so disconnected pairs (and the len(t) cap) occur
+        rng = random.Random(seed)
+        t = random_taxonomy(rng, max_synsets=30, min_synsets=2, meronymy=meronymy)
+        # a few lemmas drawn with replacement: repeats, and monosemous ones
+        # wherever the taxonomy has them; <= 3 senses keeps the joint search small
+        lemmas = sorted(w for w in t.lemma_index if len(t.senses_of(w)) <= 3)
+        if not lemmas:
+            return
+        vocab = rng.sample(lemmas, min(len(lemmas), rng.randint(1, 6)))
+        nouns = occurrences(*(rng.choice(vocab) for _ in range(length)))
+
+        got = sussna_baseline(nouns, t, window_size, mutual_size, seed)
+
+        ref_rng = random.Random(seed)
+        k = min(mutual_size, len(nouns))
+        chosen = (
+            list(mutual_constraint_assignment(t, [o.lemma for o in nouns[:k]], ref_rng))
+            if k
+            else []
+        )
+        for i in range(k, len(nouns)):
+            context = chosen[max(0, i - (window_size - 1)) : i]
+            best, ties = math.inf, []
+            for s in t.senses_of(nouns[i].lemma):
+                cost = sum(min(conceptual_distance(t, s, c), len(t)) for c in context)
+                if cost < best:
+                    best, ties = cost, [s]
+                elif cost == best:
+                    ties.append(s)
+            chosen.append(ref_rng.choice(ties))
+        assert [a.senses for a in got] == [(s,) for s in chosen]
