@@ -279,16 +279,11 @@ class _DistanceCache:
     def capped(self, a: str, b: str) -> int:
         return self.distances(a, {b})[b]
 
-    def capped_sum(self, sense: str, context: Sequence[str]) -> int:
-        dists = self.distances(sense, set(context))
-        return sum(dists[c] for c in context)
-
 
 def mutual_constraint_assignment(
     t: Taxonomy,
     lemmas: Sequence[str],
     rng: random.Random,
-    cache: _DistanceCache | None = None,
 ) -> tuple[str, ...]:
     """Jointly pick one sense per lemma minimising the pairwise distance sum.
 
@@ -297,8 +292,7 @@ def mutual_constraint_assignment(
     All minimising combinations are kept, in lexicographic sense order, and
     one is drawn from ``rng`` (a single draw even without a tie).
     """
-    if cache is None:
-        cache = _DistanceCache(t)
+    cache = _DistanceCache(t)
     pools = []
     for lemma in lemmas:
         senses = t.senses_of(lemma)
@@ -353,25 +347,41 @@ def sussna_baseline(
     preceding min(window_size - 1, available) nouns.  Ties are drawn
     uniformly from the seeded generator.  Disconnected pairs contribute a
     flat penalty of the taxonomy size so connected evidence dominates.
+
+    Distances are symmetric, so each frozen context sense is searched once,
+    towards the senses of every later polysemous noun that will see it, and
+    candidates cost lookups into those rows.  A row is searched only when
+    first needed and dropped once its position leaves the window.
     """
     rng = random.Random(seed)
-    cache = _DistanceCache(t)
     n = len(nouns)
     k = min(mutual_size, n)
+    pools = []
+    for occ in nouns:
+        senses = t.senses_of(occ.lemma)
+        if not senses:
+            raise ValueError(f"lemma {occ.lemma!r} is not in the taxonomy")
+        pools.append(senses)
     chosen: list[str] = []
     if k:
-        chosen.extend(
-            mutual_constraint_assignment(t, [o.lemma for o in nouns[:k]], rng, cache)
-        )
+        chosen.extend(mutual_constraint_assignment(t, [o.lemma for o in nouns[:k]], rng))
+    cap = len(t)  # disconnected pairs contribute the node count
+    rows: dict[int, dict[str, int]] = {}  # context position -> distances
     for i in range(k, n):
-        context = chosen[max(0, i - (window_size - 1)) : i]
-        senses = t.senses_of(nouns[i].lemma)
-        if not senses:
-            raise ValueError(f"lemma {nouns[i].lemma!r} is not in the taxonomy")
+        rows.pop(i - window_size, None)  # the position that just left the window
+        if len(pools[i]) == 1:
+            chosen.append(rng.choice(pools[i]))  # draws as a one-way tie would
+            continue
+        start = max(0, i - (window_size - 1))
+        for j in range(start, i):
+            if j not in rows:
+                seen_by = range(max(j + 1, k), min(n, j + window_size))
+                targets = {s for m in seen_by if len(pools[m]) > 1 for s in pools[m]}
+                rows[j] = t.distances(chosen[j], targets)
         best_cost = math.inf
         ties: list[str] = []
-        for s in senses:
-            cost = cache.capped_sum(s, context) if context else 0
+        for s in pools[i]:
+            cost = sum(rows[j].get(s, cap) for j in range(start, i))
             if cost < best_cost:
                 best_cost, ties = cost, [s]
             elif cost == best_cost:

@@ -15,7 +15,7 @@ import sys
 from dataclasses import astuple
 from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import baselines as bl
 from .corpus import (
@@ -30,6 +30,7 @@ from .corpus import (
 from .density import ConfigError, DensityParams, NhypMode
 from .disambiguator import (
     Assignment,
+    NounOccurrence,
     apply_random_fallback,
     disambiguate_document,
     write_assignments,
@@ -48,6 +49,9 @@ from .taxonomy import RelationMode, Taxonomy, TaxonomyError, load_taxonomy
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_CONFIG = 2
+
+#: One document's noun occurrences -> its assignments, in order.
+Runner = Callable[[Sequence[NounOccurrence]], list[Assignment]]
 
 STATS_HEADER = "text\twords\tnouns\tnouns_in_lexicon\tmonosemous"
 
@@ -152,42 +156,45 @@ def _read_documents(
     return docs
 
 
-def _system_assignments(
-    args, t: Taxonomy, docs: Sequence[tuple[str, ExtractedNouns]], window: int
-) -> tuple[str, list[list[Assignment]]]:
-    """Run the configured system over every document; one list per document.
+def _configure_system(args, t: Taxonomy) -> Callable[[int], Runner]:
+    """The configured system as ``window -> run``, ``run`` assigning one document.
 
-    The random fallback consumes a single seeded generator across the whole
-    run, in document order.  Training text is always in the tagged format.
+    Training text (always in the tagged format) is read, and the frequency
+    table built, once per command; only the salience table depends on the
+    window.  The random fallback consumes one seeded generator per window,
+    across the documents in order.
     """
     if args.baseline in ("mfs", "yarowsky"):
         train = [doc for _, doc in _read_documents(args.train, "semcor", t)]
+    if args.baseline == "mfs":
+        freq = bl.build_frequency(t, train)
     if args.baseline is None:
         params = DensityParams(
             smoothing_exponent=args.exponent,
             nhyp_mode=NhypMode(args.nhyp),
         )
-        rng = random.Random(args.seed)
 
-        def run(nouns):
-            assignments = disambiguate_document(t, nouns, params, window_size=window)
-            if args.fallback == "random":
-                assignments = apply_random_fallback(t, assignments, rng)
-            return assignments
+    def for_window(window: int) -> Runner:
+        if args.baseline is None:
+            rng = random.Random(args.seed)
 
-    elif args.baseline == "random":
-        run = partial(bl.random_baseline, t=t, seed=args.seed)
-    elif args.baseline == "mfs":
-        table = bl.build_frequency(t, train)
-        run = partial(bl.most_frequent_baseline, t=t, freq=table)
-    elif args.baseline == "yarowsky":
-        table = bl.build_salience(train, t, window_size=window)
-        run = partial(bl.yarowsky_baseline, t, table=table, window_size=window)
-    elif args.baseline == "sussna":
-        run = partial(bl.sussna_baseline, t=t, window_size=window, seed=args.seed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown baseline {args.baseline!r}")
-    return args.baseline or "density", [run(doc.occurrences) for _, doc in docs]
+            def run(nouns):
+                assignments = disambiguate_document(t, nouns, params, window_size=window)
+                if args.fallback == "random":
+                    assignments = apply_random_fallback(t, assignments, rng)
+                return assignments
+
+            return run
+        if args.baseline == "random":
+            return partial(bl.random_baseline, t=t, seed=args.seed)
+        if args.baseline == "mfs":
+            return partial(bl.most_frequent_baseline, t=t, freq=freq)
+        if args.baseline == "yarowsky":
+            table = bl.build_salience(train, t, window_size=window)
+            return partial(bl.yarowsky_baseline, t, table=table, window_size=window)
+        return partial(bl.sussna_baseline, t=t, window_size=window, seed=args.seed)
+
+    return for_window
 
 
 def _emit(args, text: str) -> None:
@@ -220,9 +227,10 @@ def cmd_disambiguate(args) -> int:
     window = _odd(args.window)
     docs = _read_documents(args.input, args.format, t)
     _check_baseline_config(args, evaluating=False)
-    _, per_doc = _system_assignments(args, t, docs, window)
+    run = _configure_system(args, t)(window)
     buf = io.StringIO()
-    for (name, _), assignments in zip(docs, per_doc):
+    for name, doc in docs:
+        assignments = run(doc.occurrences)
         if len(docs) > 1:
             buf.write(f"# document: {name}\n")
         write_assignments(t, assignments, buf)
@@ -244,12 +252,12 @@ def _require_gold(docs) -> None:
         raise ConfigError("input carries no gold sense tags")
 
 
-def _evaluate_once(args, t: Taxonomy, docs, window: int):
-    name, per_doc = _system_assignments(args, t, docs, window)
+def _evaluate_once(args, t: Taxonomy, docs, run: Runner):
+    per_doc = [run(doc.occurrences) for _, doc in docs]
     level = Level(args.level)
     population = Population(args.population)
     reports = [
-        score(t, assignments, doc.gold, level, population, system=name)
+        score(t, assignments, doc.gold, level, population, system=args.baseline or "density")
         for (_, doc), assignments in zip(docs, per_doc)
     ]
     return merge_reports(reports)
@@ -262,7 +270,8 @@ def cmd_evaluate(args) -> int:
     _check_baseline_config(args, evaluating=True)
     docs = _read_documents(args.input, args.format, t)
     _require_gold(docs)
-    report = _evaluate_once(args, t, docs, _odd(args.window))
+    window = _odd(args.window)  # before any training text is read
+    report = _evaluate_once(args, t, docs, _configure_system(args, t)(window))
     _emit(args, report_block(report) + "\n" + report_tsv(report))
     return EXIT_OK
 
@@ -280,9 +289,11 @@ def cmd_sweep(args) -> int:
     _check_baseline_config(args, evaluating=True)
     docs = _read_documents(args.input, args.format, t)
     _require_gold(docs)
+    sizes = [_odd(w) for w in windows]  # before any training text is read
+    system = _configure_system(args, t)
     lines = ["window\tcoverage\tprecision\trecall"]
-    for w in windows:
-        report = _evaluate_once(args, t, docs, _odd(w))
+    for w, size in zip(windows, sizes):
+        report = _evaluate_once(args, t, docs, system(size))
         lines.append(
             f"{w}\t{format_pct(report.coverage)}\t{format_pct(report.precision)}"
             f"\t{format_pct(report.recall)}"

@@ -479,6 +479,32 @@ class TestSussna:
                 optima.append(combo)
         assert got == random.Random(seed).choice(optima)
 
+    def test_one_search_per_context_position_seen_by_a_polysemous_noun(
+        self, monkeypatch
+    ):
+        t = build_taxonomy(CHAIN_TIF)
+        searches = []
+        distances = t.distances
+
+        def recording(source, targets):
+            searches.append((source, set(targets)))
+            return distances(source, targets)
+
+        monkeypatch.setattr(t, "distances", recording)
+        nouns = occurrences("w1", "w2", "beast", "w3", "w1", "gear")
+        chosen = [
+            a.senses[0]
+            for a in sussna_baseline(nouns, t, window_size=3, mutual_size=0)
+        ]
+        # position j is searched once, towards the polysemous nouns among
+        # j+1 .. j+2; position 4 is seen only by the monosemous "gear"
+        assert searches == [
+            (chosen[0], {"ga2", "gb2"}),
+            (chosen[1], {"ga3", "gb3"}),
+            ("ga", {"ga3", "gb3", "ga1", "gb1"}),
+            (chosen[3], {"ga1", "gb1"}),
+        ]
+
     @settings(max_examples=80, deadline=None)
     @given(
         seed=st.integers(0, 10**6),

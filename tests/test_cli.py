@@ -369,6 +369,24 @@ class TestSweep:
         code, _ = run(base_args("sweep") + ["--windows", "five"])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("baseline", ["mfs", "yarowsky"])
+    def test_training_text_read_once_per_run(self, baseline, monkeypatch):
+        parsed = []
+        parse = cli.parse_semcor
+
+        def counting(fh, doc_id):
+            parsed.append(doc_id)
+            return parse(fh, doc_id=doc_id)
+
+        monkeypatch.setattr(cli, "parse_semcor", counting)
+        code, _ = run(
+            base_args("sweep")
+            + ["--windows", "3,5,7", "--level", "file", "--baseline", baseline]
+            + ["--train", str(DATA / "toy_train.semcor")]
+        )
+        assert code == EXIT_OK
+        assert parsed == ["toy_corpus", "toy_train"]
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
