@@ -525,3 +525,32 @@ def test_untagged_semcor_input_is_config_error(tmp_path):
         ]
     )
     assert code == EXIT_CONFIG
+
+
+class TestCyclicMeronymyFixture:
+    """Goldens on a taxonomy whose meronym edges close cycles with hypernymy."""
+
+    COMMON = [
+        "--taxonomy", str(DATA / "car_parts.tif"),
+        "--input", str(DATA / "car_parts.txt"),
+        "--format", "plain",
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (["stats"], "car_parts.stats.tsv"),
+            (
+                ["disambiguate", "--relations", "hyper+mero", "--nhyp", "local", "--window", "5"],
+                "car_parts.density.tsv",
+            ),
+            (
+                ["disambiguate", "--relations", "hyper+mero", "--baseline", "sussna", "--window", "41"],
+                "car_parts.sussna.tsv",
+            ),
+        ],
+    )
+    def test_golden_output(self, argv, golden):
+        code, out = run(argv[:1] + self.COMMON + argv[1:])
+        assert code == EXIT_OK
+        assert out == (DATA / golden).read_text(encoding="utf-8")

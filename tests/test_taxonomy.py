@@ -292,6 +292,92 @@ class TestCycles:
             assert_metrics_match_oracles(build_taxonomy(text, mode))
 
 
+def brute_bfs(adjacency, start):
+    """Edge count of the shortest path from ``start`` to each node it reaches."""
+    dist = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for neigh in adjacency[node]:
+                if neigh not in dist:
+                    dist[neigh] = dist[node] + 1
+                    nxt.append(neigh)
+        frontier = nxt
+    return dist
+
+
+def assert_strings(values):
+    assert all(type(v) is str for v in values)
+
+
+class TestGraphQueries:
+    """Traversal queries against a brute BFS over the raw Synset records."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**9), source=st.sampled_from(["tif", "tif+mero", "edges"]))
+    def test_queries_match_brute_bfs(self, seed, source):
+        rng = random.Random(seed)
+        if source == "edges":
+            text, _ = random_edges_tif(rng, hypernyms_any_direction=False)
+        else:
+            text = random_tif(rng, max_synsets=40, meronymy=source == "tif+mero")
+        for mode in RelationMode:
+            t = build_taxonomy(text, mode)
+            down = brute_children(t)
+            up = {sid: set() for sid in down}
+            for node, kids in down.items():
+                for kid in kids:
+                    up[kid].add(node)
+            either = {sid: down[sid] | up[sid] for sid in down}
+            ids = sorted(t.synsets)
+            for s in ids:
+                kids = t.children_of(s)
+                assert type(kids) is tuple and kids == tuple(sorted(down[s]))
+                assert_strings(kids)
+                for query, adjacency in ((t.descendant_set, down), (t.ancestors_of, up)):
+                    reached = query(s)
+                    assert type(reached) is frozenset and reached == set(brute_bfs(adjacency, s))
+                    assert_strings(reached)
+                dist = brute_bfs(either, s)
+                targets = set(rng.sample(ids, rng.randint(0, len(ids))))
+                for wanted in (targets, targets | {s}, set(), {s}):
+                    found = t.distances(s, wanted)
+                    assert found == {x: dist[x] for x in wanted if x in dist}
+                    assert_strings(found)
+
+    def test_disconnected_targets_absent(self):
+        t = build_taxonomy(CHAIN + "S\tz\tnoun.act\tloner:0\n")
+        assert t.distances("c", {"a", "z"}) == {"a": 2}
+        assert t.distances("z", {"a", "b", "c"}) == {}
+
+
+class TestIdOrder:
+    """Ids whose string order is neither file order nor numeric order."""
+
+    FILE_ORDER = ["b9", "é1", "b10", "Z3", "a1"]
+    ASCENDING = ("Z3", "a1", "b10", "b9", "é1")
+    FLAT = "".join(f"S\t{sid}\tnoun.act\tword:{i}\n" for i, sid in enumerate(FILE_ORDER))
+
+    def test_queries_ascending(self):
+        assert tuple(sorted(self.FILE_ORDER)) == self.ASCENDING
+        flat = build_taxonomy(self.FLAT)
+        assert flat.roots == self.ASCENDING
+        assert flat.senses_of("word") == self.ASCENDING
+        text = self.FLAT + "S\tp\tnoun.act\tparent:0\n"
+        text += "".join(f"H\t{sid}\tp\n" for sid in self.FILE_ORDER)
+        for mode in RelationMode:
+            t = build_taxonomy(text, mode)
+            assert t.roots == ("p",)
+            assert t.children_of("p") == self.ASCENDING
+
+    def test_cycle_names_lowest_id(self):
+        cycle = self.FLAT + "H\tb9\té1\nH\té1\tb10\nH\tb10\tb9\n"
+        for mode in RelationMode:
+            with pytest.raises(TaxonomyError, match="^hypernym cycle through 'b10'$"):
+                build_taxonomy(cycle, mode)
+
+
 class TestProperties:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**9), meronymy=st.booleans())
