@@ -7,9 +7,12 @@ combined graph may contain cycles, so every traversal here uses a visited
 set.  One strongly-connected-component pass per load over the downward
 graph of the relation mode finds the nodes on cycles: a hypernym cycle
 among them is rejected, and a concept that can reach one gets its height
-from an exhaustive simple-path search.  A loaded Taxonomy is immutable;
-metric queries are memoized with single-assignment semantics and are safe
-to share across threads.
+from an exhaustive simple-path search.  At load the synsets are numbered
+in ascending id order, so integer order is string order, and every
+traversal runs over int adjacency tuples; the public API takes and
+returns string ids.  A loaded Taxonomy is immutable; metric queries are
+memoized with single-assignment semantics and are safe to share across
+threads.
 
 Input format (TIF, "taxonomy interchange format"): line-oriented UTF-8,
 tab-separated, ``#`` starts a comment line.
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import IO, AbstractSet, Iterable, Iterator, Mapping, Sequence
+from typing import IO, AbstractSet, Iterable, Iterator, Sequence
 
 
 class RelationMode(enum.Enum):
@@ -115,36 +118,36 @@ def solve_nhyp(descendants: int, height: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def _nodes_on_cycles(adjacency: Mapping[str, Sequence[str]]) -> set[str]:
+def _nodes_on_cycles(adjacency: Sequence[Sequence[int]]) -> set[int]:
     """Nodes on a directed cycle: in a multi-node SCC or with a self-loop.
 
-    Tarjan's algorithm, iterative.  Every edge must end at a key of
-    ``adjacency``.
+    Tarjan's algorithm, iterative, over nodes ``0 .. len(adjacency) - 1``.
     """
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    scc_stack: list[str] = []
-    cyclic: set[str] = set()
+    n = len(adjacency)
+    index = [-1] * n
+    lowlink = [0] * n
+    on_stack = bytearray(n)
+    scc_stack: list[int] = []
+    cyclic: set[int] = set()
     counter = 0
-    for root in adjacency:
-        if root in index:
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        work: list[tuple[str, int]] = [(root, 0)]
+        work: list[tuple[int, int]] = [(root, 0)]
         while work:
             node, child_i = work[-1]
             if child_i == 0:
                 index[node] = lowlink[node] = counter
                 counter += 1
                 scc_stack.append(node)
-                on_stack.add(node)
+                on_stack[node] = 1
             kids = adjacency[node]
             if child_i < len(kids):
                 work[-1] = (node, child_i + 1)
                 nxt = kids[child_i]
-                if nxt not in index:
+                if index[nxt] < 0:
                     work.append((nxt, 0))
-                elif nxt in on_stack:
+                elif on_stack[nxt]:
                     lowlink[node] = min(lowlink[node], index[nxt])
             else:
                 work.pop()
@@ -155,7 +158,7 @@ def _nodes_on_cycles(adjacency: Mapping[str, Sequence[str]]) -> set[str]:
                     comp = []
                     while True:
                         member = scc_stack.pop()
-                        on_stack.discard(member)
+                        on_stack[member] = 0
                         comp.append(member)
                         if member == node:
                             break
@@ -164,7 +167,7 @@ def _nodes_on_cycles(adjacency: Mapping[str, Sequence[str]]) -> set[str]:
     return cyclic
 
 
-def _reach(starts: Iterable[str], adjacency: Mapping[str, Sequence[str]]) -> frozenset[str]:
+def _reach(starts: Iterable[int], adjacency: Sequence[Sequence[int]]) -> set[int]:
     """Every node reachable from ``starts`` along ``adjacency``, starts included."""
     seen = set(starts)
     frontier = list(seen)
@@ -173,7 +176,7 @@ def _reach(starts: Iterable[str], adjacency: Mapping[str, Sequence[str]]) -> fro
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    return frozenset(seen)
+    return seen
 
 
 class Taxonomy:
@@ -193,7 +196,7 @@ class Taxonomy:
         # Memo caches; written at most once per key (identical values if racy).
         self._metrics: dict[str, SubhierarchyMetrics] = {}
         self._ancestors: dict[str, frozenset[str]] = {}
-        self._heights: dict[str, int] = {}
+        self._heights = [-1] * len(self._ids)
         self._global_nhyp: float | None = None
 
     # -- construction ------------------------------------------------------
@@ -232,34 +235,44 @@ class Taxonomy:
         for lemma, ids in lemma_acc.items():
             self.lemma_index[lemma] = tuple(sorted(set(ids)))
 
+        # Node numbers follow ascending id order, so integer order is string
+        # order: sorted adjacency, tie-breaks and the lowest id on a cycle
+        # come out in string order.
+        self._ids: list[str] = sorted(self.synsets)
+        num = self._num = {sid: i for i, sid in enumerate(self._ids)}
         self.roots: tuple[str, ...] = tuple(
-            sorted(sid for sid, syn in self.synsets.items() if not syn.hypernym_ids)
+            sid for sid in self._ids if not self.synsets[sid].hypernym_ids
         )
 
-        # Downward (parent -> child) and upward adjacency under the mode.
-        down: dict[str, set[str]] = {sid: set() for sid in self.synsets}
-        up: dict[str, set[str]] = {sid: set() for sid in self.synsets}
-        for syn in self.synsets.values():
+        # Downward (parent -> child), upward and either-direction adjacency
+        # under the mode, indexed by node number.
+        down: list[list[int]] = [[] for _ in self._ids]
+        up: list[list[int]] = [[] for _ in self._ids]
+        for sid, syn in self.synsets.items():
+            node = num[sid]
             for parent in syn.hypernym_ids:
-                down[parent].add(syn.id)
-                up[syn.id].add(parent)
+                down[num[parent]].append(node)
+                up[node].append(num[parent])
             if self.relation_mode.includes_meronymy:
                 for part in syn.meronym_ids:
-                    down[syn.id].add(part)
-                    up[part].add(syn.id)
-        self._down = {sid: tuple(sorted(kids)) for sid, kids in down.items()}
-        self._up = {sid: tuple(sorted(parents)) for sid, parents in up.items()}
-        del down, up  # free the sets before the SCC pass, where loading peaks
+                    down[node].append(num[part])
+                    up[num[part]].append(node)
+        self._down = [tuple(sorted(set(kids))) for kids in down]
+        self._up = [tuple(sorted(set(parents))) for parents in up]
+        del down, up  # free the lists before the SCC pass, where loading peaks
+        self._either = [d + u for d, u in zip(self._down, self._up)]
 
         # One SCC pass finds every node on a downward cycle.  A hypernym
         # cycle is a downward cycle too, so re-running the pass on the
         # hypernym edges among those nodes alone finds any.
         cyclic = _nodes_on_cycles(self._down)
-        hyper_cyclic = _nodes_on_cycles(
-            {sid: [p for p in self.synsets[sid].hypernym_ids if p in cyclic] for sid in cyclic}
-        )
+        hyper_up: list[Sequence[int]] = [()] * len(self._ids)
+        for node in cyclic:
+            hypernyms = (num[p] for p in self.synsets[self._ids[node]].hypernym_ids)
+            hyper_up[node] = [p for p in hypernyms if p in cyclic]
+        hyper_cyclic = _nodes_on_cycles(hyper_up)
         if hyper_cyclic:
-            raise TaxonomyError(f"hypernym cycle through {min(hyper_cyclic)!r}")
+            raise TaxonomyError(f"hypernym cycle through {self._ids[min(hyper_cyclic)]!r}")
         # Nodes that can reach a cycle: heights below them need the
         # exhaustive simple-path search.
         self._cycle_ancestors = _reach(cyclic, self._up)
@@ -269,11 +282,14 @@ class Taxonomy:
     def __len__(self) -> int:
         return len(self.synsets)
 
-    def _require(self, concept: str) -> Synset:
+    def _node(self, concept: str) -> int:
         try:
-            return self.synsets[concept]
+            return self._num[concept]
         except KeyError:
             raise TaxonomyError(f"unknown synset id {concept!r}") from None
+
+    def _names(self, nodes: Iterable[int]) -> frozenset[str]:
+        return frozenset(map(self._ids.__getitem__, nodes))
 
     def senses_of(self, lemma: str) -> tuple[str, ...]:
         """Synset ids carrying ``lemma`` (case-insensitive), ascending; () if none."""
@@ -285,15 +301,15 @@ class Taxonomy:
 
     def sense_key_of(self, lemma: str, concept: str) -> str | None:
         """Render the ``lexfile.lex_id`` key that names ``concept`` for ``lemma``."""
-        syn = self._require(concept)
+        self._node(concept)
+        syn = self.synsets[concept]
         lex_ids = sorted(lid for lem, lid in syn.lemmas if lem == lemma.lower())
         if not lex_ids:
             return None
         return f"{syn.lexfile}.{lex_ids[0]}"
 
     def children_of(self, concept: str) -> tuple[str, ...]:
-        self._require(concept)
-        return self._down[concept]
+        return tuple(map(self._ids.__getitem__, self._down[self._node(concept)]))
 
     def ancestors_of(self, sense: str) -> frozenset[str]:
         """All synsets reachable upward from ``sense``, including itself.
@@ -304,14 +320,12 @@ class Taxonomy:
         cached = self._ancestors.get(sense)
         if cached is not None:
             return cached
-        self._require(sense)
-        result = self._ancestors[sense] = _reach((sense,), self._up)
+        result = self._ancestors[sense] = self._names(_reach((self._node(sense),), self._up))
         return result
 
     def descendant_set(self, concept: str) -> frozenset[str]:
         """Distinct synsets reachable downward from ``concept``, including it."""
-        self._require(concept)
-        return _reach((concept,), self._down)
+        return self._names(_reach((self._node(concept),), self._down))
 
     def distances(self, source: str, targets: AbstractSet[str]) -> dict[str, int]:
         """Shortest-path lengths from ``source`` to each of ``targets``.
@@ -320,75 +334,72 @@ class Taxonomy:
         relation mode.  The breadth-first search stops once every target is
         found; targets in another component are absent from the result.
         """
-        self._require(source)
-        for target in targets:
-            self._require(target)
-        down, up = self._down, self._up
-        remaining = set(targets)
+        start = self._node(source)
+        remaining = {self._node(target) for target in targets}
+        ids, either = self._ids, self._either
         found: dict[str, int] = {}
-        if source in remaining:
+        if start in remaining:
             found[source] = 0
-            remaining.discard(source)
-        seen = {source}
-        frontier = [source]
+            remaining.discard(start)
+        seen = bytearray(len(ids))
+        seen[start] = 1
+        frontier = [start]
         d = 0
         while frontier and remaining:
             d += 1
             nxt = []
             for node in frontier:
-                for neigh in down[node] + up[node]:
-                    if neigh not in seen:
-                        seen.add(neigh)
+                for neigh in either[node]:
+                    if not seen[neigh]:
+                        seen[neigh] = 1
                         nxt.append(neigh)
                         if neigh in remaining:
-                            found[neigh] = d
+                            found[ids[neigh]] = d
                             remaining.discard(neigh)
             frontier = nxt
         return found
 
-    def _height_of(self, concept: str) -> int:
-        """Longest simple downward path, in edges.
+    def _height_of(self, node: int) -> int:
+        """Longest simple downward path from ``node``, in edges.
 
         On the acyclic fast path (always taken in hypernymy-only mode) this
         memoizes across concepts in one post-order pass.  Concepts that can
         reach a relation cycle fall back to exhaustive simple-path search,
         exponential only in the size of the cyclic region.
         """
-        cached = self._heights.get(concept)
-        if cached is not None:
-            return cached
+        down, heights = self._down, self._heights
+        if heights[node] >= 0:
+            return heights[node]
 
-        if concept not in self._cycle_ancestors:
-            stack: list[tuple[str, Iterator[str]]] = [(concept, iter(self._down[concept]))]
+        if node not in self._cycle_ancestors:
+            stack: list[tuple[int, Iterator[int]]] = [(node, iter(down[node]))]
             while stack:
-                node, it = stack[-1]
+                top, it = stack[-1]
                 for child in it:
-                    if child not in self._heights:
-                        stack.append((child, iter(self._down[child])))
+                    if heights[child] < 0:
+                        stack.append((child, iter(down[child])))
                         break
                 else:
-                    self._heights[node] = max(
-                        (self._heights[c] + 1 for c in self._down[node]), default=0
-                    )
+                    heights[top] = max((heights[c] + 1 for c in down[top]), default=0)
                     stack.pop()
-            return self._heights[concept]
+            return heights[node]
 
         best = 0
-        path: list[str] = [concept]
-        path_set = {concept}
-        iters = [iter(self._down[concept])]
+        path: list[int] = [node]
+        path_set = {node}
+        iters = [iter(down[node])]
         while iters:
             for child in iters[-1]:
                 if child not in path_set:
                     path.append(child)
                     path_set.add(child)
-                    iters.append(iter(self._down[child]))
+                    iters.append(iter(down[child]))
                     best = max(best, len(path) - 1)
                     break
             else:
                 iters.pop()
                 path_set.discard(path.pop())
-        self._heights[concept] = best
+        heights[node] = best
         return best
 
     def subhierarchy_metrics(self, concept: str) -> SubhierarchyMetrics:
@@ -396,9 +407,9 @@ class Taxonomy:
         cached = self._metrics.get(concept)
         if cached is not None:
             return cached
-        self._require(concept)
-        descendants = len(_reach((concept,), self._down))
-        height = self._height_of(concept)
+        node = self._node(concept)
+        descendants = len(_reach((node,), self._down))
+        height = self._height_of(node)
         metrics = SubhierarchyMetrics(
             concept=concept,
             descendants=descendants,
@@ -417,7 +428,7 @@ class Taxonomy:
         if self._global_nhyp is None:
             if not self.synsets:
                 raise TaxonomyError("empty taxonomy")
-            max_height = max((self._height_of(r) for r in self.roots), default=0)
+            max_height = max((self._height_of(self._num[r]) for r in self.roots), default=0)
             self._global_nhyp = solve_nhyp(len(self.synsets), max_height)
         return self._global_nhyp
 
