@@ -4,15 +4,15 @@ The taxonomy is a DAG of synsets connected by hypernym (is-a) edges and,
 optionally, meronym (whole-part) edges.  Hypernym edges must be acyclic;
 once meronym edges are folded in as additional parent->child links the
 combined graph may contain cycles, so every traversal here uses a visited
-set.  One strongly-connected-component pass per load over the downward
-graph of the relation mode finds the nodes on cycles: a hypernym cycle
-among them is rejected, and a concept that can reach one gets its height
-from an exhaustive simple-path search.  At load the synsets are numbered
-in ascending id order, so integer order is string order, and every
-traversal runs over int adjacency tuples; the public API takes and
-returns string ids.  A loaded Taxonomy is immutable; metric queries are
-memoized with single-assignment semantics and are safe to share across
-threads.
+set.  One pass per load peels the downward graph of the relation mode
+from its leaves and gives every peeled concept its height.  The concepts
+left unpeeled can reach a cycle: a hypernym cycle among them is rejected,
+and their heights come from an exhaustive simple-path search when first
+asked.  At load the synsets are numbered in ascending id order, so
+integer order is string order, and every traversal runs over int
+adjacency tuples; the public API takes and returns string ids.  A loaded
+Taxonomy is immutable; metric queries are memoized with single-assignment
+semantics and are safe to share across threads.
 
 Input format (TIF, "taxonomy interchange format"): line-oriented UTF-8,
 tab-separated, ``#`` starts a comment line.
@@ -118,55 +118,6 @@ def solve_nhyp(descendants: int, height: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def _nodes_on_cycles(adjacency: Sequence[Sequence[int]]) -> set[int]:
-    """Nodes on a directed cycle: in a multi-node SCC or with a self-loop.
-
-    Tarjan's algorithm, iterative, over nodes ``0 .. len(adjacency) - 1``.
-    """
-    n = len(adjacency)
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = bytearray(n)
-    scc_stack: list[int] = []
-    cyclic: set[int] = set()
-    counter = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            node, child_i = work[-1]
-            if child_i == 0:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                scc_stack.append(node)
-                on_stack[node] = 1
-            kids = adjacency[node]
-            if child_i < len(kids):
-                work[-1] = (node, child_i + 1)
-                nxt = kids[child_i]
-                if index[nxt] < 0:
-                    work.append((nxt, 0))
-                elif on_stack[nxt]:
-                    lowlink[node] = min(lowlink[node], index[nxt])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-                if lowlink[node] == index[node]:
-                    comp = []
-                    while True:
-                        member = scc_stack.pop()
-                        on_stack[member] = 0
-                        comp.append(member)
-                        if member == node:
-                            break
-                    if len(comp) > 1 or node in kids:
-                        cyclic.update(comp)
-    return cyclic
-
-
 def _reach(starts: Iterable[int], adjacency: Sequence[Sequence[int]]) -> set[int]:
     """Every node reachable from ``starts`` along ``adjacency``, starts included."""
     seen = set(starts)
@@ -194,9 +145,10 @@ class Taxonomy:
         self._build_indexes()
 
         # Memo caches; written at most once per key (identical values if racy).
+        # The height memo, ``_heights``, is filled at load except for nodes
+        # that can reach a cycle.
         self._metrics: dict[str, SubhierarchyMetrics] = {}
         self._ancestors: dict[str, frozenset[str]] = {}
-        self._heights = [-1] * len(self._ids)
         self._global_nhyp: float | None = None
 
     # -- construction ------------------------------------------------------
@@ -259,23 +211,40 @@ class Taxonomy:
                     up[num[part]].append(node)
         self._down = [tuple(sorted(set(kids))) for kids in down]
         self._up = [tuple(sorted(set(parents))) for parents in up]
-        del down, up  # free the lists before the SCC pass, where loading peaks
+        del down, up  # free the lists before the peel, where loading peaks
         self._either = [d + u for d, u in zip(self._down, self._up)]
 
-        # One SCC pass finds every node on a downward cycle.  A hypernym
-        # cycle is a downward cycle too, so re-running the pass on the
-        # hypernym edges among those nodes alone finds any.
-        cyclic = _nodes_on_cycles(self._down)
+        # Peel sinks (Kahn's algorithm, from the leaves): a node is removed
+        # once all its children are, and its height is final then.  The loop
+        # also visits the parents it appends.  A node never removed can reach
+        # a downward cycle; its height is left unset (-1) for the exhaustive
+        # search of _height_of.
+        heights = self._heights = [0] * len(self._ids)
+        left = [len(kids) for kids in self._down]
+        peeled = [node for node, count in enumerate(left) if not count]
+        for node in peeled:
+            height = heights[node] + 1
+            for parent in self._up[node]:
+                if heights[parent] < height:
+                    heights[parent] = height
+                left[parent] -= 1
+                if not left[parent]:
+                    peeled.append(parent)
+        unpeeled = [node for node, count in enumerate(left) if count]
+        for node in unpeeled:
+            heights[node] = -1
+
+        # A hypernym cycle is a downward cycle, so its nodes are unpeeled.
+        # Among the unpeeled nodes, the lowest that reaches itself upward
+        # along hypernym edges is the lowest on a hypernym cycle.  Each
+        # upward reach holds only hypernym ancestors, so it stays small.
         hyper_up: list[Sequence[int]] = [()] * len(self._ids)
-        for node in cyclic:
+        for node in unpeeled:
             hypernyms = (num[p] for p in self.synsets[self._ids[node]].hypernym_ids)
-            hyper_up[node] = [p for p in hypernyms if p in cyclic]
-        hyper_cyclic = _nodes_on_cycles(hyper_up)
-        if hyper_cyclic:
-            raise TaxonomyError(f"hypernym cycle through {self._ids[min(hyper_cyclic)]!r}")
-        # Nodes that can reach a cycle: heights below them need the
-        # exhaustive simple-path search.
-        self._cycle_ancestors = _reach(cyclic, self._up)
+            hyper_up[node] = [p for p in hypernyms if heights[p] < 0]
+        for node in unpeeled:
+            if node in _reach(hyper_up[node], hyper_up):
+                raise TaxonomyError(f"hypernym cycle through {self._ids[node]!r}")
 
     # -- queries -----------------------------------------------------------
 
@@ -362,26 +331,13 @@ class Taxonomy:
     def _height_of(self, node: int) -> int:
         """Longest simple downward path from ``node``, in edges.
 
-        On the acyclic fast path (always taken in hypernymy-only mode) this
-        memoizes across concepts in one post-order pass.  Concepts that can
-        reach a relation cycle fall back to exhaustive simple-path search,
+        Every node the load-time peel removed already has its height (all
+        of them in hypernymy-only mode).  Only a node that can reach a
+        relation cycle gets an exhaustive simple-path search here,
         exponential only in the size of the cyclic region.
         """
         down, heights = self._down, self._heights
         if heights[node] >= 0:
-            return heights[node]
-
-        if node not in self._cycle_ancestors:
-            stack: list[tuple[int, Iterator[int]]] = [(node, iter(down[node]))]
-            while stack:
-                top, it = stack[-1]
-                for child in it:
-                    if heights[child] < 0:
-                        stack.append((child, iter(down[child])))
-                        break
-                else:
-                    heights[top] = max((heights[c] + 1 for c in down[top]), default=0)
-                    stack.pop()
             return heights[node]
 
         best = 0
@@ -469,7 +425,7 @@ def load_taxonomy(stream: IO, relation_mode: RelationMode = RelationMode.HYPERNY
     edge references, hypernym cycles, duplicate synset ids, and duplicate
     (lemma, lexfile, lex_id) sense keys.
     """
-    records: dict[str, tuple[int, str, tuple[tuple[str, int], ...]]] = {}
+    records: dict[str, tuple[str, tuple[tuple[str, int], ...]]] = {}
     hyper: dict[str, list[str]] = {}
     mero: dict[str, list[str]] = {}
     edges: list[tuple[str, str, str, int]] = []
@@ -485,7 +441,10 @@ def load_taxonomy(stream: IO, relation_mode: RelationMode = RelationMode.HYPERNY
             _, sid, lexfile, lemma_field = fields
             if sid in records:
                 raise TaxonomyError(f"duplicate synset id {sid!r}", lineno)
-            records[sid] = (lineno, lexfile, _parse_lemma_field(lemma_field, lineno))
+            lemmas = _parse_lemma_field(lemma_field, lineno)
+            if not lexfile:
+                raise TaxonomyError(f"synset {sid!r} has empty lexfile", lineno)
+            records[sid] = (lexfile, lemmas)
         elif kind in ("H", "M"):
             if len(fields) != 3:
                 raise TaxonomyError(f"{kind} record needs 3 fields, got {len(fields)}", lineno)
@@ -510,6 +469,6 @@ def load_taxonomy(stream: IO, relation_mode: RelationMode = RelationMode.HYPERNY
             hypernym_ids=tuple(sorted(set(hyper.get(sid, ())))),
             meronym_ids=tuple(sorted(set(mero.get(sid, ())))),
         )
-        for sid, (_, lexfile, lemmas) in records.items()
+        for sid, (lexfile, lemmas) in records.items()
     ]
     return Taxonomy(synsets, relation_mode)

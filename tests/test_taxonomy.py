@@ -86,6 +86,10 @@ class TestLoading:
         with pytest.raises(TaxonomyError, match="line 2"):
             build_taxonomy("S\tx\tnoun.act\tthing:0\nS\tbroken\n")
 
+    def test_empty_lexfile_carries_line_number(self):
+        with pytest.raises(TaxonomyError, match="^line 1: synset 'x' has empty lexfile$"):
+            build_taxonomy("S\tx\t\tthing:0\n")
+
     def test_bad_lex_id(self):
         with pytest.raises(TaxonomyError, match="lex_id"):
             build_taxonomy("S\tx\tnoun.act\tthing:zero\n")
@@ -371,10 +375,22 @@ class TestIdOrder:
             assert t.roots == ("p",)
             assert t.children_of("p") == self.ASCENDING
 
-    def test_cycle_names_lowest_id(self):
-        cycle = self.FLAT + "H\tb9\té1\nH\té1\tb10\nH\tb10\tb9\n"
+    # a0 is the lowest node that reaches a hypernym cycle, but it lies on
+    # none: it sits between the b1 <-> b2 and c1 <-> c2 cycles.
+    BETWEEN_CYCLES = "".join(
+        f"S\t{sid}\tnoun.act\tword:{i}\n" for i, sid in enumerate(["a0", "b1", "b2", "c1", "c2"])
+    ) + "H\tb1\tb2\nH\tb2\tb1\nH\tb1\ta0\nH\ta0\tc1\nH\tc1\tc2\nH\tc2\tc1\n"
+
+    @pytest.mark.parametrize(
+        "cycle, lowest",
+        [
+            pytest.param(FLAT + "H\tb9\té1\nH\té1\tb10\nH\tb10\tb9\n", "b10", id="three-cycle"),
+            pytest.param(BETWEEN_CYCLES, "b1", id="between-cycles"),
+        ],
+    )
+    def test_cycle_names_lowest_id(self, cycle, lowest):
         for mode in RelationMode:
-            with pytest.raises(TaxonomyError, match="^hypernym cycle through 'b10'$"):
+            with pytest.raises(TaxonomyError, match=f"^hypernym cycle through '{lowest}'$"):
                 build_taxonomy(cycle, mode)
 
 
