@@ -63,9 +63,24 @@ class TestLoading:
         t = build_taxonomy("H\tc\tp\nS\tc\tnoun.act\ta:0\nS\tp\tnoun.act\tb:0\n")
         assert t.roots == ("p",)
 
-    def test_dangling_edge(self):
-        with pytest.raises(TaxonomyError, match="unknown synset"):
-            build_taxonomy("S\tx\tnoun.act\tthing:0\nH\tx\tnowhere\n")
+    @pytest.mark.parametrize(
+        "text, lineno, unknown",
+        [
+            pytest.param("S\tx\tnoun.act\tthing:0\nH\tx\tnowhere\n", 2, "nowhere", id="unknown-parent"),
+            pytest.param("S\ta\tnoun.act\ta:0\nH\ta\tq\nH\tz\tq\n", 2, "q", id="first-edge-in-file-order"),
+            pytest.param("S\ta\tnoun.act\ta:0\nH\tp\tq\nH\ta\tp\n", 2, "p", id="child-named-first"),
+            pytest.param("H\tx\ty\nS\tx\tnoun.act\tx:0\nM\tx\tw\n", 1, "y", id="forward-reference-resolves"),
+            pytest.param(
+                "S\ta\tnoun.act\ta:0\nS\tb\tnoun.act\ta:0\nH\ta\tzz\n", 3, "zz", id="before-sense-keys"
+            ),
+        ],
+    )
+    def test_dangling_edge(self, text, lineno, unknown):
+        for mode in RelationMode:
+            with pytest.raises(
+                TaxonomyError, match=f"^line {lineno}: edge references unknown synset '{unknown}'$"
+            ):
+                build_taxonomy(text, mode)
 
     def test_hypernym_cycle(self):
         bad = "S\tx\tnoun.act\ta:0\nS\ty\tnoun.act\tb:0\nH\tx\ty\nH\ty\tx\n"
@@ -89,6 +104,10 @@ class TestLoading:
     def test_empty_lexfile_carries_line_number(self):
         with pytest.raises(TaxonomyError, match="^line 1: synset 'x' has empty lexfile$"):
             build_taxonomy("S\tx\t\tthing:0\n")
+
+    def test_empty_lemma_field_carries_line_number(self):
+        with pytest.raises(TaxonomyError, match="^line 1: bad lemma entry ''$"):
+            build_taxonomy("S\tx\tnoun.act\t\n")
 
     def test_bad_lex_id(self):
         with pytest.raises(TaxonomyError, match="lex_id"):
