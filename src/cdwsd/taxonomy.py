@@ -1,5 +1,7 @@
 """Noun taxonomy: loading, validation, and subhierarchy metrics.
 
+``load_taxonomy`` is the only code that checks TIF records; it builds the
+Taxonomy, whose constructor indexes the records that function validated.
 The taxonomy is a DAG of synsets connected by hypernym (is-a) edges and,
 optionally, meronym (whole-part) edges.  Hypernym edges must be acyclic;
 once meronym edges are folded in as additional parent->child links the
@@ -53,7 +55,7 @@ class TaxonomyError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Synset:
     """One concept: a set of (lemma, lex_id) pairs under a lexicographer file."""
 
@@ -131,50 +133,17 @@ def _reach(starts: Iterable[int], adjacency: Sequence[Sequence[int]]) -> set[int
 
 
 class Taxonomy:
-    """Immutable, validated noun taxonomy with memoized metric queries."""
+    """Immutable noun taxonomy with memoized metric queries.
 
-    def __init__(self, synsets: Iterable[Synset], relation_mode: RelationMode):
+    Built by ``load_taxonomy`` from the records it validated, in file order.
+    """
+
+    def __init__(self, synsets: dict[str, Synset], relation_mode: RelationMode):
         self.relation_mode = relation_mode
-        self.synsets: dict[str, Synset] = {}
-        for syn in synsets:
-            if syn.id in self.synsets:
-                raise TaxonomyError(f"duplicate synset id {syn.id!r}")
-            self.synsets[syn.id] = syn
-
-        self._validate_structure()
-        self._build_indexes()
-
-        # Memo caches; written at most once per key (identical values if racy).
-        # The height memo, ``_heights``, is filled at load except for nodes
-        # that can reach a cycle.
-        self._metrics: dict[str, SubhierarchyMetrics] = {}
-        self._ancestors: dict[str, frozenset[str]] = {}
-        self._global_nhyp: float | None = None
-
-    # -- construction ------------------------------------------------------
-
-    def _validate_structure(self) -> None:
-        for syn in self.synsets.values():
-            if not syn.lexfile:
-                raise TaxonomyError(f"synset {syn.id!r} has empty lexfile")
-            if not syn.lemmas:
-                raise TaxonomyError(f"synset {syn.id!r} has no lemmas")
-            for other in syn.hypernym_ids:
-                if other not in self.synsets:
-                    raise TaxonomyError(
-                        f"synset {syn.id!r} references unknown hypernym {other!r}"
-                    )
-            for other in syn.meronym_ids:
-                if other not in self.synsets:
-                    raise TaxonomyError(
-                        f"synset {syn.id!r} references unknown meronym {other!r}"
-                    )
-
-    def _build_indexes(self) -> None:
-        self.lemma_index: dict[str, tuple[str, ...]] = {}
+        self.synsets = synsets
         self._sense_keys: dict[tuple[str, str, int], str] = {}
         lemma_acc: dict[str, list[str]] = {}
-        for syn in self.synsets.values():
+        for syn in synsets.values():
             for lemma, lex_id in syn.lemmas:
                 key = (lemma, syn.lexfile, lex_id)
                 if key in self._sense_keys:
@@ -184,8 +153,7 @@ class Taxonomy:
                     )
                 self._sense_keys[key] = syn.id
                 lemma_acc.setdefault(lemma, []).append(syn.id)
-        for lemma, ids in lemma_acc.items():
-            self.lemma_index[lemma] = tuple(sorted(set(ids)))
+        self.lemma_index = {lemma: tuple(sorted(set(ids))) for lemma, ids in lemma_acc.items()}
 
         # Node numbers follow ascending id order, so integer order is string
         # order: sorted adjacency, tie-breaks and the lowest id on a cycle
@@ -245,6 +213,13 @@ class Taxonomy:
         for node in unpeeled:
             if node in _reach(hyper_up[node], hyper_up):
                 raise TaxonomyError(f"hypernym cycle through {self._ids[node]!r}")
+
+        # Memo caches; written at most once per key (identical values if racy).
+        # The height memo, ``_heights``, is filled at load except for nodes
+        # that can reach a cycle.
+        self._metrics: dict[str, SubhierarchyMetrics] = {}
+        self._ancestors: dict[str, frozenset[str]] = {}
+        self._global_nhyp: float | None = None
 
     # -- queries -----------------------------------------------------------
 
@@ -421,14 +396,16 @@ def read_lines(stream: IO) -> Iterator[tuple[int, str]]:
 def load_taxonomy(stream: IO, relation_mode: RelationMode = RelationMode.HYPERNYMY) -> Taxonomy:
     """Parse a TIF stream (bytes or text) into a validated Taxonomy.
 
-    Raises TaxonomyError for syntax problems (with a line number), dangling
-    edge references, hypernym cycles, duplicate synset ids, and duplicate
-    (lemma, lexfile, lex_id) sense keys.
+    Raises TaxonomyError for a malformed record or a duplicate synset id,
+    naming its line; for a dangling edge reference, naming the first edge
+    in file order that holds one; and, with no line, for duplicate
+    (lemma, lexfile, lex_id) sense keys and hypernym cycles.
     """
     records: dict[str, tuple[str, tuple[tuple[str, int], ...]]] = {}
-    hyper: dict[str, list[str]] = {}
-    mero: dict[str, list[str]] = {}
-    edges: list[tuple[str, str, str, int]] = []
+    edges: dict[str, dict[str, list[str]]] = {"H": {}, "M": {}}
+    # Line of the first edge naming each id, child before parent: the first
+    # of these ids that no S record defines is the one the error names.
+    first_edge: dict[str, int] = {}
 
     for lineno, line in read_lines(stream):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -445,30 +422,23 @@ def load_taxonomy(stream: IO, relation_mode: RelationMode = RelationMode.HYPERNY
             if not lexfile:
                 raise TaxonomyError(f"synset {sid!r} has empty lexfile", lineno)
             records[sid] = (lexfile, lemmas)
-        elif kind in ("H", "M"):
+        elif kind in edges:
             if len(fields) != 3:
                 raise TaxonomyError(f"{kind} record needs 3 fields, got {len(fields)}", lineno)
-            edges.append((kind, fields[1], fields[2], lineno))
+            _, a, b = fields
+            edges[kind].setdefault(a, []).append(b)
+            first_edge.setdefault(a, lineno)
+            first_edge.setdefault(b, lineno)
         else:
             raise TaxonomyError(f"unknown record type {kind!r}", lineno)
 
-    for kind, a, b, lineno in edges:
-        for sid in (a, b):
-            if sid not in records:
-                raise TaxonomyError(f"edge references unknown synset {sid!r}", lineno)
-        if kind == "H":
-            hyper.setdefault(a, []).append(b)
-        else:
-            mero.setdefault(a, []).append(b)
+    for sid, lineno in first_edge.items():
+        if sid not in records:
+            raise TaxonomyError(f"edge references unknown synset {sid!r}", lineno)
 
-    synsets = [
-        Synset(
-            id=sid,
-            lexfile=lexfile,
-            lemmas=lemmas,
-            hypernym_ids=tuple(sorted(set(hyper.get(sid, ())))),
-            meronym_ids=tuple(sorted(set(mero.get(sid, ())))),
-        )
-        for sid, (lexfile, lemmas) in records.items()
-    ]
+    synsets: dict[str, Synset] = {}
+    for sid, (lexfile, lemmas) in records.items():
+        hypernym_ids, meronym_ids = (tuple(sorted(set(edges[k].get(sid, ())))) for k in "HM")
+        synsets[sid] = Synset(sid, lexfile, lemmas, hypernym_ids, meronym_ids)
+    del records, edges, first_edge  # free them before indexing, where loading peaks
     return Taxonomy(synsets, relation_mode)
