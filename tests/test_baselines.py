@@ -505,6 +505,23 @@ class TestSussna:
             (chosen[3], {"ga1", "gb1"}),
         ]
 
+    def test_mutual_phase_one_search_per_distinct_pool_sense(self, monkeypatch):
+        t = build_taxonomy(CHAIN_TIF)
+        searches = []
+        distances = t.distances
+
+        def recording(source, targets):
+            searches.append((source, set(targets)))
+            return distances(source, targets)
+
+        monkeypatch.setattr(t, "distances", recording)
+        lemmas = ["w1", "w2", "beast", "w1", "w3"]
+        pool_senses = sorted({s for w in lemmas for s in t.senses_of(w)})
+        got = mutual_constraint_assignment(t, lemmas, random.Random(0))
+        assert got == ("ga1", "ga2", "ga", "ga1", "ga3")  # "beast" pulls to ga
+        assert [source for source, _ in searches] == pool_senses
+        assert all(targets <= set(pool_senses) for _, targets in searches)
+
     @settings(max_examples=80, deadline=None)
     @given(
         seed=st.integers(0, 10**6),

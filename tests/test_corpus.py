@@ -80,6 +80,8 @@ class TestParseSemcor:
             ("<s>\nstray words\n</s>\n", "stray text"),
             ("<s>\n<wd>x</wd><tag>NN</tag>\n", "end of input"),
             ("<s>\n<wd>x</wd junk\n", "unterminated"),
+            ("<s>\n<wd>x</wd>\n<wd>y</wd><tag>NN</tag>\n</s>\n", "^line 3: token 'x' has no <tag>$"),
+            ("<s>\n<wd>x</wd><wd>y\n", "^line 2: unterminated <wd>$"),
         ],
     )
     def test_malformed(self, text, match):

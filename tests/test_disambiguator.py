@@ -82,6 +82,22 @@ class TestBuildWindow:
         with pytest.raises(ValueError):
             build_window([], 0, 3)
 
+    def test_nearest_consecutive_block_exhaustive(self):
+        # reference: of the blocks of min(size, n) consecutive nouns holding
+        # the target, the one whose farthest member is nearest the target
+        for n in range(1, 21):
+            nouns = occurrences(*[f"n{i}" for i in range(n)])
+            for size in range(1, 26, 2):
+                m = min(size, n)
+                for target in range(n):
+                    lo = min(
+                        range(max(0, target - m + 1), min(target, n - m) + 1),
+                        key=lambda lo: max(target - lo, lo + m - 1 - target),
+                    )
+                    w = build_window(nouns, target, size)
+                    assert w.members == tuple(nouns[lo : lo + m])
+                    assert w.target == target - lo
+
 
 class TestDisambiguateWindow:
     def test_monosemous_target_skips_loop(self, clusters):
