@@ -103,9 +103,10 @@ class FrequencyTable:
         return min(candidates)[1]
 
 
-def build_frequency(
-    t: Taxonomy, train: Sequence[ExtractedNouns]
-) -> FrequencyTable:
+def build_frequency(t: Taxonomy, train: Sequence[ExtractedNouns]) -> FrequencyTable:
+    """Count the resolvable gold senses; ConfigError if no noun is gold-tagged."""
+    if all(key is None for doc in train for key in doc.gold):
+        raise ConfigError("training corpus has no gold-tagged nouns")
     table = FrequencyTable()
     for doc in train:
         for occ, key in zip(doc.occurrences, doc.gold):
@@ -245,39 +246,22 @@ def conceptual_distance(t: Taxonomy, a: str, b: str) -> float:
 
 
 class _DistanceCache:
-    """Pairwise capped distances from ``Taxonomy.distances``, memoized per pair.
+    """Reference capped distances for the tests' brute-force oracles.
 
-    Only the pairs actually queried are kept, so long documents over a
-    large taxonomy stay within memory.
+    ``capped(a, b)`` is the shortest-path length between two synsets, or the
+    taxonomy size for a disconnected pair, memoized per unordered pair.
     """
 
     def __init__(self, t: Taxonomy):
         self.t = t
-        self.cap = len(t)  # disconnected pairs contribute the node count
-
         self._pairs: dict[tuple[str, str], int] = {}
 
-    def distances(self, source: str, targets: set[str]) -> dict[str, int]:
-        result: dict[str, int] = {}
-        missing: set[str] = set()
-        for b in targets:
-            key = (source, b) if source <= b else (b, source)
-            d = self._pairs.get(key)
-            if d is None:
-                missing.add(b)
-            else:
-                result[b] = d
-        if missing:
-            found = self.t.distances(source, missing)
-            for b in missing:
-                dist = found.get(b, self.cap)
-                key = (source, b) if source <= b else (b, source)
-                self._pairs[key] = dist
-                result[b] = dist
-        return result
-
     def capped(self, a: str, b: str) -> int:
-        return self.distances(a, {b})[b]
+        key = (a, b) if a <= b else (b, a)
+        d = self._pairs.get(key)
+        if d is None:
+            d = self._pairs[key] = self.t.distances(a, {b}).get(b, len(self.t))
+        return d
 
 
 def mutual_constraint_assignment(
@@ -292,7 +276,6 @@ def mutual_constraint_assignment(
     All minimising combinations are kept, in lexicographic sense order, and
     one is drawn from ``rng`` (a single draw even without a tie).
     """
-    cache = _DistanceCache(t)
     pools = []
     for lemma in lemmas:
         senses = t.senses_of(lemma)
@@ -302,10 +285,10 @@ def mutual_constraint_assignment(
     if not pools:
         return ()
 
-    # One BFS per distinct sense fills the whole pairwise memo up front.
-    pool_senses = sorted({s for pool in pools for s in pool})
-    for s in pool_senses:
-        cache.distances(s, set(pool_senses))
+    # One search per distinct sense, towards every sense in the pools.
+    pool_senses = {s for pool in pools for s in pool}
+    rows = {s: t.distances(s, pool_senses) for s in sorted(pool_senses)}
+    cap = len(t)  # disconnected pairs contribute the node count
 
     best = math.inf
     optima: list[tuple[str, ...]] = []
@@ -321,7 +304,7 @@ def mutual_constraint_assignment(
                 optima.append(tuple(chosen))
             return
         for sense in pools[i]:
-            add = sum(cache.capped(prev, sense) for prev in chosen)
+            add = sum(rows[prev].get(sense, cap) for prev in chosen)
             if partial + add > best:
                 continue
             chosen.append(sense)

@@ -101,26 +101,8 @@ def parse_semcor(stream: IO, doc_id: str = "") -> Document:
     sentences: list[tuple[SemcorToken, ...]] = []
     in_sentence = False
     tokens: list[SemcorToken] = []
-    # Current token parts: wordform, mwd lemma, sense key, whether msn/mwd.
+    # Current token parts: wordform, mwd lemma, sense key; only <tag> ends it.
     cur: dict | None = None
-
-    def finish_token(lineno: int) -> None:
-        nonlocal cur
-        if cur is None:
-            return
-        if cur.get("pos") is None:
-            raise CorpusError(f"token {cur['wd']!r} has no <tag>", lineno)
-        lemma = cur["mwd"] if cur["mwd"] is not None else cur["wd"].lower()
-        tokens.append(
-            SemcorToken(
-                wordform=cur["wd"],
-                lemma=lemma.lower(),
-                pos=cur["pos"],
-                sense_key=cur["key"],
-                has_mwd=cur["mwd"] is not None,
-            )
-        )
-        cur = None
 
     for lineno, line in read_lines(stream):
         pos = 0
@@ -137,7 +119,8 @@ def parse_semcor(stream: IO, doc_id: str = "") -> Document:
                 if closing:
                     if not in_sentence:
                         raise CorpusError("</s> outside a sentence", lineno)
-                    finish_token(lineno)
+                    if cur is not None:
+                        raise CorpusError(f"token {cur['wd']!r} has no <tag>", lineno)
                     sentences.append(tuple(tokens))
                     tokens = []
                     in_sentence = False
@@ -157,8 +140,9 @@ def parse_semcor(stream: IO, doc_id: str = "") -> Document:
             if not in_sentence:
                 raise CorpusError(f"<{name}> outside a sentence", lineno)
             if name == "wd":
-                finish_token(lineno)
-                cur = {"wd": content, "mwd": None, "key": None, "pos": None}
+                if cur is not None:
+                    raise CorpusError(f"token {cur['wd']!r} has no <tag>", lineno)
+                cur = {"wd": content, "mwd": None, "key": None}
                 continue
             if cur is None:
                 raise CorpusError(f"<{name}> before any <wd>", lineno)
@@ -167,8 +151,17 @@ def parse_semcor(stream: IO, doc_id: str = "") -> Document:
             elif name in ("sn", "msn"):
                 cur["key"] = _parse_sense_key(content, lineno)
             elif name == "tag":
-                cur["pos"] = content
-                finish_token(lineno)
+                lemma = cur["mwd"] if cur["mwd"] is not None else cur["wd"]
+                tokens.append(
+                    SemcorToken(
+                        wordform=cur["wd"],
+                        lemma=lemma.lower(),
+                        pos=content,
+                        sense_key=cur["key"],
+                        has_mwd=cur["mwd"] is not None,
+                    )
+                )
+                cur = None
     if in_sentence:
         raise CorpusError("end of input inside a sentence", lineno)
     return Document(id=doc_id, sentences=tuple(sentences))

@@ -99,20 +99,8 @@ def build_window(
         raise ValueError("window size must be odd and >= 1")
     if not 0 <= target < len(nouns):
         raise ValueError(f"target {target} out of range")
-    half = size_param // 2
-    lo = target - half
-    hi = target + half
-    if lo < 0:
-        hi += -lo
-        lo = 0
-    if hi > len(nouns) - 1:
-        lo -= hi - (len(nouns) - 1)
-        hi = len(nouns) - 1
-        lo = max(lo, 0)
-    return Window(
-        target=target - lo,
-        members=tuple(nouns[lo : hi + 1]),
-    )
+    lo = max(0, min(target - size_param // 2, len(nouns) - size_param))
+    return Window(target=target - lo, members=tuple(nouns[lo : lo + size_param]))
 
 
 def disambiguate_window(

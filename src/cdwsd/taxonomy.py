@@ -10,7 +10,8 @@ set.  One pass per load peels the downward graph of the relation mode
 from its leaves and gives every peeled concept its height.  The concepts
 left unpeeled can reach a cycle: a hypernym cycle among them is rejected,
 and their heights come from an exhaustive simple-path search when first
-asked.  At load the synsets are numbered in ascending id order, so
+asked, which walks only them and adds the height of each peeled child it
+meets.  At load the synsets are numbered in ascending id order, so
 integer order is string order, and every traversal runs over int
 adjacency tuples; the public API takes and returns string ids.  A loaded
 Taxonomy is immutable; metric queries are memoized with single-assignment
@@ -215,8 +216,8 @@ class Taxonomy:
                 raise TaxonomyError(f"hypernym cycle through {self._ids[node]!r}")
 
         # Memo caches; written at most once per key (identical values if racy).
-        # The height memo, ``_heights``, is filled at load except for nodes
-        # that can reach a cycle.
+        # ``_heights`` is fixed at load; the searched heights of nodes that
+        # can reach a cycle live only in ``_metrics`` and ``_global_nhyp``.
         self._metrics: dict[str, SubhierarchyMetrics] = {}
         self._ancestors: dict[str, frozenset[str]] = {}
         self._global_nhyp: float | None = None
@@ -308,8 +309,11 @@ class Taxonomy:
 
         Every node the load-time peel removed already has its height (all
         of them in hypernymy-only mode).  Only a node that can reach a
-        relation cycle gets an exhaustive simple-path search here,
-        exponential only in the size of the cyclic region.
+        relation cycle gets an exhaustive simple-path search here, over the
+        nodes that can reach a cycle: a peeled child cannot reach the path,
+        so its height is added and it is not entered.  The search is
+        exponential only in the number of such nodes; its result is not
+        stored in ``_heights``, which it reads as peeled heights only.
         """
         down, heights = self._down, self._heights
         if heights[node] >= 0:
@@ -321,7 +325,9 @@ class Taxonomy:
         iters = [iter(down[node])]
         while iters:
             for child in iters[-1]:
-                if child not in path_set:
+                if heights[child] >= 0:
+                    best = max(best, len(path) + heights[child])
+                elif child not in path_set:
                     path.append(child)
                     path_set.add(child)
                     iters.append(iter(down[child]))
@@ -330,7 +336,6 @@ class Taxonomy:
             else:
                 iters.pop()
                 path_set.discard(path.pop())
-        heights[node] = best
         return best
 
     def subhierarchy_metrics(self, concept: str) -> SubhierarchyMetrics:

@@ -208,6 +208,10 @@ class TestMostFrequent:
         answered = [a for a in most_frequent_baseline(nouns, clusters, table) if a.is_answered()]
         assert len(answered) == 2
 
+    def test_empty_training_rejected(self, clusters):
+        with pytest.raises(ValueError, match="training"):
+            build_frequency(clusters, [train_extracted(clusters, [])])
+
     def test_table_roundtrip(self, clusters):
         table = FrequencyTable({("bass", "a02"): 2, ("trout", "a03"): 7})
         buf = io.StringIO()

@@ -188,11 +188,12 @@ class TestDisambiguate:
             "cdwsd: configuration error: smoothing_exponent must be > 0\n"
         )
 
-    def test_untagged_training_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("baseline", ["mfs", "yarowsky"])
+    def test_untagged_training_is_config_error(self, tmp_path, capsys, baseline):
         untagged = tmp_path / "untagged.semcor"
         untagged.write_text("<s>\n<wd>trout</wd><tag>NN</tag>\n</s>\n")
         code, _ = run(
-            base_args("disambiguate") + ["--baseline", "yarowsky", "--train", str(untagged)]
+            base_args("disambiguate") + ["--baseline", baseline, "--train", str(untagged)]
         )
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == (

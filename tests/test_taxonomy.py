@@ -1,5 +1,6 @@
 import io
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -287,6 +288,30 @@ class TestCycles:
         text, _ = random_edges_tif(random.Random(seed), hypernyms_any_direction=False)
         for mode in RelationMode:
             assert_metrics_match_oracles(build_taxonomy(text, mode))
+            # a fresh taxonomy queried in the other order: no search result
+            # may leak into a later search
+            t = build_taxonomy(text, mode)
+            down = brute_children(t)
+            for concept in sorted(t.synsets, reverse=True):
+                assert t.subhierarchy_metrics(concept).height == longest_simple_path(down, concept)
+
+    def test_ladder_below_a_cycle_is_searched_in_bounded_time(self):
+        # root R on a meronym cycle R <-> c, above 24 levels of two nodes,
+        # each a hyponym of both nodes above it: 2**24 simple paths from R
+        levels = 24
+        lines = ["S\tR\tnoun.act\tr:0", "S\tc\tnoun.act\tc:0", "M\tR\tc", "M\tc\tR"]
+        above = ["R"]
+        for level in range(1, levels + 1):
+            nodes = [f"l{level}{side}" for side in "ab"]
+            for node in nodes:
+                lines.append(f"S\t{node}\tnoun.act\t{node}:0")
+                lines += [f"H\t{node}\t{parent}" for parent in above]
+            above = nodes
+        t = build_taxonomy("\n".join(lines) + "\n", RelationMode.HYPERNYMY_MERONYMY)
+        start = time.perf_counter()
+        assert t.subhierarchy_metrics("R").height == levels
+        assert t.global_nhyp() == solve_nhyp(len(t), levels + 1)  # from c, through R
+        assert time.perf_counter() - start < 2.0
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 10**9), mode=st.sampled_from(list(RelationMode)))
