@@ -13,7 +13,15 @@ import random
 from pathlib import Path
 
 from cdwsd.density import DensityParams, NhypMode
-from cdwsd.taxonomy import RelationMode, Taxonomy, load_taxonomy
+from cdwsd.taxonomy import (
+    RelationMode,
+    Synset,
+    Taxonomy,
+    TaxonomyError,
+    _parse_lemma_field,
+    load_taxonomy,
+    read_lines,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -76,6 +84,50 @@ def random_taxonomy(
 ) -> Taxonomy:
     mode = RelationMode.HYPERNYMY_MERONYMY if meronymy else RelationMode.HYPERNYMY
     return build_taxonomy(random_tif(rng, max_synsets, meronymy, min_synsets), mode)
+
+
+def reference_load_taxonomy(stream, relation_mode=RelationMode.HYPERNYMY) -> Taxonomy:
+    """A plain record-by-record TIF loader: each line is classified, split
+    and checked in turn, and each synset's edges are sorted and deduped.
+
+    The reference for the differential parser test: ``load_taxonomy`` must
+    raise the same error or build the same taxonomy on every input.
+    """
+    records: dict[str, tuple[str, tuple[tuple[str, int], ...]]] = {}
+    edges: dict[str, dict[str, list[str]]] = {"H": {}, "M": {}}
+    first_edge: dict[str, int] = {}
+    for lineno, line in read_lines(stream):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        kind = fields[0]
+        if kind == "S":
+            if len(fields) != 4:
+                raise TaxonomyError(f"S record needs 4 fields, got {len(fields)}", lineno)
+            _, sid, lexfile, lemma_field = fields
+            if sid in records:
+                raise TaxonomyError(f"duplicate synset id {sid!r}", lineno)
+            lemmas = _parse_lemma_field(lemma_field, lineno)
+            if not lexfile:
+                raise TaxonomyError(f"synset {sid!r} has empty lexfile", lineno)
+            records[sid] = (lexfile, lemmas)
+        elif kind in edges:
+            if len(fields) != 3:
+                raise TaxonomyError(f"{kind} record needs 3 fields, got {len(fields)}", lineno)
+            _, a, b = fields
+            edges[kind].setdefault(a, []).append(b)
+            first_edge.setdefault(a, lineno)
+            first_edge.setdefault(b, lineno)
+        else:
+            raise TaxonomyError(f"unknown record type {kind!r}", lineno)
+    for sid, lineno in first_edge.items():
+        if sid not in records:
+            raise TaxonomyError(f"edge references unknown synset {sid!r}", lineno)
+    synsets = {}
+    for sid, (lexfile, lemmas) in records.items():
+        hypernym_ids, meronym_ids = (tuple(sorted(set(edges[k].get(sid, ())))) for k in "HM")
+        synsets[sid] = Synset(sid, lexfile, lemmas, hypernym_ids, meronym_ids)
+    return Taxonomy(synsets, relation_mode)
 
 
 # -- brute-force oracles -----------------------------------------------------

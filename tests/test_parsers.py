@@ -2,7 +2,8 @@
 
 A leading UTF-8 byte-order mark changes nothing, whether the parser is
 handed bytes or a text stream, and malformed input of any shape raises
-only the documented parse errors.
+only the documented parse errors.  The TIF parser raises the same error,
+or builds the same taxonomy, as a plain record-by-record reference loader.
 """
 
 import io
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from cdwsd.corpus import CorpusError, parse_plain, parse_semcor
 from cdwsd.taxonomy import RelationMode, TaxonomyError, load_taxonomy
 
-from helpers import DATA
+from helpers import DATA, reference_load_taxonomy
 
 BOM = "\ufeff"
 
@@ -112,6 +113,52 @@ def test_taxonomy_parser_raises_only_parse_errors(case, mode):
         load_taxonomy(as_stream(*case), mode)
     except PARSE_ERRORS:
         pass
+
+
+def load_outcome(load, stream, mode):
+    """The error ``load`` raises, as (type, message), or the loaded state."""
+    try:
+        t = load(stream, mode)
+    except PARSE_ERRORS as exc:
+        return type(exc), str(exc)
+    return (
+        list(t.synsets.items()), list(t.lemma_index.items()), t._sense_keys,
+        t._down, t._up, t._heights, t.roots,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=lines_of(TIF_LINE), mode=st.sampled_from(list(RelationMode)))
+def test_taxonomy_parser_matches_reference_loader(case, mode):
+    expected = load_outcome(reference_load_taxonomy, as_stream(*case), mode)
+    assert load_outcome(load_taxonomy, as_stream(*case), mode) == expected
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        pytest.param(" \t \t\nS\tx\tnoun.act\ta:0\n", None, id="blank-with-tabs"),
+        pytest.param("#\tS\tx\nS\tx\tnoun.act\ta:0\n", None, id="comment-with-fields"),
+        pytest.param("S\tx\n", "line 1: S record needs 4 fields, got 2", id="short-S"),
+        pytest.param("H\ta\n", "line 1: H record needs 3 fields, got 2", id="short-H"),
+    ],
+)
+def test_taxonomy_record_dispatch(text, error):
+    for mode in RelationMode:
+        outcome = load_outcome(load_taxonomy, io.StringIO(text), mode)
+        assert outcome == load_outcome(reference_load_taxonomy, io.StringIO(text), mode)
+        if error is None:
+            assert [sid for sid, _ in outcome[0]] == ["x"]
+        else:
+            assert outcome == (TaxonomyError, error)
+
+
+def test_taxonomy_crlf_loads_like_lf():
+    text = (DATA / "two_clusters.tif").read_text(encoding="utf-8")
+    crlf = text.replace("\n", "\r\n").encode("utf-8")
+    for mode in RelationMode:
+        expected = load_outcome(load_taxonomy, io.StringIO(text), mode)
+        assert load_outcome(load_taxonomy, io.BytesIO(crlf), mode) == expected
 
 
 @settings(max_examples=300, deadline=None)
