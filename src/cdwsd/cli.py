@@ -9,6 +9,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import random
 import sys
@@ -135,9 +136,27 @@ def _odd(window: int) -> int:
 
 
 def _load_taxonomy(args) -> Taxonomy:
+    """Load ``--taxonomy`` with the garbage collector off, then freeze the heap.
+
+    A load allocates hundreds of thousands of containers that live as long
+    as the run, so every collection it triggers scans them and frees
+    nothing.  Freezing the loaded heap, before the collector is switched
+    back on, keeps the collections made later in the run from scanning it.
+    The command line owns its process, so it sets the collector here; the
+    library never does.  The caller's collector state is restored whether
+    or not the load succeeds.
+    """
     mode = RelationMode(args.relations)
-    with open(args.taxonomy, "r", encoding="utf-8") as fh:
-        return load_taxonomy(fh, mode)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(args.taxonomy, "r", encoding="utf-8") as fh:
+            t = load_taxonomy(fh, mode)
+        gc.freeze()
+    finally:
+        if enabled:
+            gc.enable()
+    return t
 
 
 def _read_documents(

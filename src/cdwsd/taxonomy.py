@@ -10,12 +10,14 @@ set.  One pass per load peels the downward graph of the relation mode
 from its leaves and gives every peeled concept its height.  The concepts
 left unpeeled can reach a cycle: a hypernym cycle among them is rejected,
 and their heights come from an exhaustive simple-path search when first
-asked, which walks only them and adds the height of each peeled child it
-meets.  At load the synsets are numbered in ascending id order, so
-integer order is string order, and every traversal runs over int
-adjacency tuples; the public API takes and returns string ids.  A loaded
-Taxonomy is immutable; metric queries are memoized with single-assignment
-semantics and are safe to share across threads.
+asked, which walks only them, adds the height of each peeled child it
+meets, and raises TaxonomyError once it has spent its step budget.  At
+load the synsets are numbered in ascending id order, so integer order is
+string order, and every traversal runs over int adjacency tuples; the
+public API takes and returns string ids.  A loaded Taxonomy is immutable;
+metric queries and the either-direction adjacency of the distance search
+are built on first use with single-assignment semantics, and are safe to
+share across threads.
 
 Input format (TIF, "taxonomy interchange format"): line-oriented UTF-8,
 tab-separated, ``#`` starts a comment line.
@@ -84,6 +86,9 @@ class SubhierarchyMetrics:
     local_nhyp: float
 
 
+#: Simple-path extensions one height search may make before it gives up.
+HEIGHT_SEARCH_STEPS = 1_000_000
+
 #: Residual tolerance the nhyp root solve must meet.
 NHYP_TOLERANCE = 1e-9
 
@@ -121,6 +126,11 @@ def solve_nhyp(descendants: int, height: int) -> float:
     return 0.5 * (lo + hi)
 
 
+def _sorted_unique(items: Sequence) -> tuple:
+    """``items`` sorted and deduplicated, as a tuple."""
+    return tuple(items) if len(items) < 2 else tuple(sorted(set(items)))
+
+
 def _reach(starts: Iterable[int], adjacency: Sequence[Sequence[int]]) -> set[int]:
     """Every node reachable from ``starts`` along ``adjacency``, starts included."""
     seen = set(starts)
@@ -142,46 +152,52 @@ class Taxonomy:
     def __init__(self, synsets: dict[str, Synset], relation_mode: RelationMode):
         self.relation_mode = relation_mode
         self.synsets = synsets
-        self._sense_keys: dict[tuple[str, str, int], str] = {}
+        sense_keys: dict[tuple[str, str, int], str] = {}
         lemma_acc: dict[str, list[str]] = {}
-        for syn in synsets.values():
+        for sid, syn in synsets.items():
+            lexfile = syn.lexfile
             for lemma, lex_id in syn.lemmas:
-                key = (lemma, syn.lexfile, lex_id)
-                if key in self._sense_keys:
+                key = (lemma, lexfile, lex_id)
+                if key in sense_keys:
                     raise TaxonomyError(
-                        f"duplicate sense key {lemma}%{syn.lexfile}.{lex_id} "
-                        f"in {self._sense_keys[key]!r} and {syn.id!r}"
+                        f"duplicate sense key {lemma}%{lexfile}.{lex_id} "
+                        f"in {sense_keys[key]!r} and {sid!r}"
                     )
-                self._sense_keys[key] = syn.id
-                lemma_acc.setdefault(lemma, []).append(syn.id)
-        self.lemma_index = {lemma: tuple(sorted(set(ids))) for lemma, ids in lemma_acc.items()}
+                sense_keys[key] = sid
+                lemma_acc.setdefault(lemma, []).append(sid)
+        self._sense_keys = sense_keys
+        self.lemma_index = {lemma: _sorted_unique(ids) for lemma, ids in lemma_acc.items()}
 
         # Node numbers follow ascending id order, so integer order is string
         # order: sorted adjacency, tie-breaks and the lowest id on a cycle
         # come out in string order.
-        self._ids: list[str] = sorted(self.synsets)
+        self._ids: list[str] = sorted(synsets)
         num = self._num = {sid: i for i, sid in enumerate(self._ids)}
         self.roots: tuple[str, ...] = tuple(
-            sid for sid in self._ids if not self.synsets[sid].hypernym_ids
+            sid for sid in self._ids if not synsets[sid].hypernym_ids
         )
 
-        # Downward (parent -> child), upward and either-direction adjacency
-        # under the mode, indexed by node number.
+        # Downward (parent -> child) and upward adjacency under the mode,
+        # indexed by node number.
         down: list[list[int]] = [[] for _ in self._ids]
         up: list[list[int]] = [[] for _ in self._ids]
-        for sid, syn in self.synsets.items():
+        meronymy = relation_mode.includes_meronymy
+        for sid, syn in synsets.items():
             node = num[sid]
-            for parent in syn.hypernym_ids:
-                down[num[parent]].append(node)
-                up[node].append(num[parent])
-            if self.relation_mode.includes_meronymy:
-                for part in syn.meronym_ids:
-                    down[node].append(num[part])
-                    up[num[part]].append(node)
-        self._down = [tuple(sorted(set(kids))) for kids in down]
-        self._up = [tuple(sorted(set(parents))) for parents in up]
+            for parent_id in syn.hypernym_ids:
+                parent = num[parent_id]
+                down[parent].append(node)
+                up[node].append(parent)
+            if meronymy:
+                for part_id in syn.meronym_ids:
+                    part = num[part_id]
+                    down[node].append(part)
+                    up[part].append(node)
+        self._down = [_sorted_unique(kids) for kids in down]
+        self._up = [_sorted_unique(parents) for parents in up]
         del down, up  # free the lists before the peel, where loading peaks
-        self._either = [d + u for d, u in zip(self._down, self._up)]
+        # Either-direction adjacency, built by the first ``distances`` call.
+        self._either: list[tuple[int, ...]] | None = None
 
         # Peel sinks (Kahn's algorithm, from the leaves): a node is removed
         # once all its children are, and its height is final then.  The loop
@@ -191,9 +207,10 @@ class Taxonomy:
         heights = self._heights = [0] * len(self._ids)
         left = [len(kids) for kids in self._down]
         peeled = [node for node, count in enumerate(left) if not count]
+        up_of = self._up
         for node in peeled:
             height = heights[node] + 1
-            for parent in self._up[node]:
+            for parent in up_of[node]:
                 if heights[parent] < height:
                     heights[parent] = height
                 left[parent] -= 1
@@ -282,6 +299,8 @@ class Taxonomy:
         start = self._node(source)
         remaining = {self._node(target) for target in targets}
         ids, either = self._ids, self._either
+        if either is None:
+            either = self._either = [d + u for d, u in zip(self._down, self._up)]
         found: dict[str, int] = {}
         if start in remaining:
             found[source] = 0
@@ -312,14 +331,17 @@ class Taxonomy:
         relation cycle gets an exhaustive simple-path search here, over the
         nodes that can reach a cycle: a peeled child cannot reach the path,
         so its height is added and it is not entered.  The search is
-        exponential only in the number of such nodes; its result is not
-        stored in ``_heights``, which it reads as peeled heights only.
+        exponential in the number of such nodes, so it may extend a path
+        at most HEIGHT_SEARCH_STEPS times and raises TaxonomyError after
+        that.  Its result is not stored in ``_heights``, which it reads as
+        peeled heights only.
         """
         down, heights = self._down, self._heights
         if heights[node] >= 0:
             return heights[node]
 
         best = 0
+        steps = HEIGHT_SEARCH_STEPS
         path: list[int] = [node]
         path_set = {node}
         iters = [iter(down[node])]
@@ -328,6 +350,14 @@ class Taxonomy:
                 if heights[child] >= 0:
                     best = max(best, len(path) + heights[child])
                 elif child not in path_set:
+                    if not steps:
+                        cyclic = sum(height < 0 for height in heights)
+                        raise TaxonomyError(
+                            f"height search from {self._ids[node]!r} exceeded "
+                            f"{HEIGHT_SEARCH_STEPS} steps; {cyclic} synsets can "
+                            "reach a relation cycle"
+                        )
+                    steps -= 1
                     path.append(child)
                     path_set.add(child)
                     iters.append(iter(down[child]))
@@ -373,6 +403,8 @@ class Taxonomy:
 
 
 def _parse_lemma_field(text: str, lineno: int) -> tuple[tuple[str, int], ...]:
+    """The (lemma, lex_id) pairs of an S record's lemma field; raises, naming
+    the first bad entry, if any entry is malformed."""
     lemmas = []
     for chunk in text.split(","):
         lemma, sep, lex = chunk.rpartition(":")
@@ -413,27 +445,34 @@ def load_taxonomy(stream: IO, relation_mode: RelationMode = RelationMode.HYPERNY
     first_edge: dict[str, int] = {}
 
     for lineno, line in read_lines(stream):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+        # The two well-formed shapes first; neither can be blank or a
+        # comment, so every other line is checked for those before it fails.
         fields = line.split("\t")
         kind = fields[0]
-        if kind == "S":
-            if len(fields) != 4:
-                raise TaxonomyError(f"S record needs 4 fields, got {len(fields)}", lineno)
+        if kind == "S" and len(fields) == 4:
             _, sid, lexfile, lemma_field = fields
             if sid in records:
                 raise TaxonomyError(f"duplicate synset id {sid!r}", lineno)
-            lemmas = _parse_lemma_field(lemma_field, lineno)
+            lemmas = []
+            for chunk in lemma_field.split(","):
+                lemma, sep, lex = chunk.rpartition(":")
+                if not (sep and lemma and lex.isdecimal()):
+                    _parse_lemma_field(lemma_field, lineno)  # raises the error
+                lemmas.append((lemma.lower(), int(lex)))
             if not lexfile:
                 raise TaxonomyError(f"synset {sid!r} has empty lexfile", lineno)
-            records[sid] = (lexfile, lemmas)
-        elif kind in edges:
-            if len(fields) != 3:
-                raise TaxonomyError(f"{kind} record needs 3 fields, got {len(fields)}", lineno)
+            records[sid] = (lexfile, tuple(lemmas))
+        elif kind in edges and len(fields) == 3:
             _, a, b = fields
             edges[kind].setdefault(a, []).append(b)
             first_edge.setdefault(a, lineno)
             first_edge.setdefault(b, lineno)
+        elif not line.strip() or line.lstrip().startswith("#"):
+            continue
+        elif kind == "S":
+            raise TaxonomyError(f"S record needs 4 fields, got {len(fields)}", lineno)
+        elif kind in edges:
+            raise TaxonomyError(f"{kind} record needs 3 fields, got {len(fields)}", lineno)
         else:
             raise TaxonomyError(f"unknown record type {kind!r}", lineno)
 
@@ -441,9 +480,16 @@ def load_taxonomy(stream: IO, relation_mode: RelationMode = RelationMode.HYPERNY
         if sid not in records:
             raise TaxonomyError(f"edge references unknown synset {sid!r}", lineno)
 
+    hypernyms, meronyms = edges["H"], edges["M"]
     synsets: dict[str, Synset] = {}
     for sid, (lexfile, lemmas) in records.items():
-        hypernym_ids, meronym_ids = (tuple(sorted(set(edges[k].get(sid, ())))) for k in "HM")
-        synsets[sid] = Synset(sid, lexfile, lemmas, hypernym_ids, meronym_ids)
-    del records, edges, first_edge  # free them before indexing, where loading peaks
+        synsets[sid] = Synset(
+            sid,
+            lexfile,
+            lemmas,
+            _sorted_unique(hypernyms.get(sid, ())),
+            _sorted_unique(meronyms.get(sid, ())),
+        )
+    # free them before indexing, where loading peaks
+    del records, edges, hypernyms, meronyms, first_edge
     return Taxonomy(synsets, relation_mode)

@@ -76,6 +76,16 @@ def random_tif(
     return "\n".join(lines) + "\n"
 
 
+def meronym_clique_tif(size: int) -> str:
+    """``size`` synsets under one root, each part of every other; all of
+    them share the lemma ``part``, with lex_ids 0..size-1."""
+    lines = ["S\troot\tnoun.act\troot:0"]
+    for i in range(size):
+        lines += [f"S\tp{i:02d}\tnoun.act\tpart:{i}", f"H\tp{i:02d}\troot"]
+        lines += [f"M\tp{i:02d}\tp{j:02d}" for j in range(size) if j != i]
+    return "\n".join(lines) + "\n"
+
+
 def random_taxonomy(
     rng: random.Random,
     max_synsets: int = 200,

@@ -1,3 +1,4 @@
+import gc
 import io
 from contextlib import redirect_stdout
 
@@ -6,7 +7,7 @@ import pytest
 from cdwsd import cli
 from cdwsd.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, main
 
-from helpers import DATA
+from helpers import DATA, meronym_clique_tif
 
 
 def run(argv):
@@ -88,6 +89,40 @@ class TestStats:
             ["stats", "--taxonomy", str(DATA / "two_clusters.tif"), "--input", str(bad)]
         )
         assert code == EXIT_PARSE
+
+
+class TestCollector:
+    """The command line switches the collector off only while it loads."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_state_restored(self, tmp_path, enabled):
+        (gc.enable if enabled else gc.disable)()
+        code, _ = run(base_args("disambiguate", window=5))
+        assert code == EXIT_OK
+        assert gc.isenabled() is enabled
+        cycle = tmp_path / "cycle.tif"
+        cycle.write_text("S\ta\tnoun.act\ta:0\nS\tb\tnoun.act\tb:0\nH\ta\tb\nH\tb\ta\n")
+        code, _ = run(["stats", "--taxonomy", str(cycle), "--input", str(DATA / "toy_corpus.semcor")])
+        assert code == EXIT_PARSE
+        assert gc.isenabled() is enabled
+
+    def test_outputs_do_not_depend_on_it(self, tmp_path):
+        outputs = []
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            out = tmp_path / f"out-{enabled}.tsv"
+            _, stdout = run(base_args("disambiguate", window=5))
+            code, _ = run(base_args("disambiguate", window=5, out=out))
+            assert code == EXIT_OK
+            outputs.append((stdout.encode("utf-8"), out.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == outputs[0][1]
 
 
 class TestDisambiguate:
@@ -179,6 +214,18 @@ class TestDisambiguate:
         )
         assert code == EXIT_PARSE
         assert "line 1: lex_id must be a non-negative integer" in capsys.readouterr().err
+
+    def test_height_search_budget_is_parse_error(self, tmp_path, capsys):
+        tif = tmp_path / "clique.tif"
+        tif.write_text(meronym_clique_tif(12))
+        words = tmp_path / "words.txt"
+        words.write_text("part part\n")
+        code, out = run(
+            ["disambiguate", "--taxonomy", str(tif), "--input", str(words),
+             "--format", "plain", "--relations", "hyper+mero"]
+        )
+        assert (code, out) == (EXIT_PARSE, "")
+        assert "height search from 'root' exceeded" in capsys.readouterr().err
 
     @pytest.mark.parametrize("exponent", ["0", "nan"])
     def test_bad_exponent_is_config_error(self, exponent, capsys):

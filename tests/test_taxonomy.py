@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdwsd.taxonomy import (
+    HEIGHT_SEARCH_STEPS,
     NHYP_TOLERANCE,
     RelationMode,
     TaxonomyError,
@@ -21,6 +22,7 @@ from helpers import (
     brute_reachable,
     build_taxonomy,
     load_data_taxonomy,
+    meronym_clique_tif,
     random_taxonomy,
     random_tif,
 )
@@ -313,6 +315,21 @@ class TestCycles:
         assert t.global_nhyp() == solve_nhyp(len(t), levels + 1)  # from c, through R
         assert time.perf_counter() - start < 2.0
 
+    def test_meronym_clique_exhausts_the_search_budget(self):
+        # about 10**8 simple paths from the root: the search must give up
+        # after its budget, not hang
+        text = meronym_clique_tif(12)
+        t = build_taxonomy(text, RelationMode.HYPERNYMY_MERONYMY)
+        start = time.perf_counter()
+        with pytest.raises(
+            TaxonomyError,
+            match=f"^height search from 'root' exceeded {HEIGHT_SEARCH_STEPS} steps; "
+            "13 synsets can reach a relation cycle$",
+        ):
+            t.global_nhyp()
+        assert time.perf_counter() - start < 10.0
+        assert build_taxonomy(text).global_nhyp() == solve_nhyp(13, 1)  # no cycle
+
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 10**9), mode=st.sampled_from(list(RelationMode)))
     def test_hypernym_cycle_rejected_iff_one_exists(self, seed, mode):
@@ -524,12 +541,14 @@ class TestStructuralInvariants:
 
         t = load_data_taxonomy("two_clusters.tif")
         concepts = sorted(t.synsets) * 8
+        everyone = set(t.synsets)
 
         def work(c):
-            return (c, t.subhierarchy_metrics(c), t.global_nhyp())
+            return (c, t.subhierarchy_metrics(c), t.global_nhyp(), t.distances(c, everyone))
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(work, concepts))
-        for c, metrics, gnh in results:
+        for c, metrics, gnh, dist in results:
             assert metrics == t.subhierarchy_metrics(c)
             assert gnh == t.global_nhyp()
+            assert dist == t.distances(c, everyone)
