@@ -152,47 +152,42 @@ class Taxonomy:
     def __init__(self, synsets: dict[str, Synset], relation_mode: RelationMode):
         self.relation_mode = relation_mode
         self.synsets = synsets
-        sense_keys: dict[tuple[str, str, int], str] = {}
+        self._sense_keys: dict[tuple[str, str, int], str] = {}
         lemma_acc: dict[str, list[str]] = {}
-        for sid, syn in synsets.items():
-            lexfile = syn.lexfile
+        for syn in synsets.values():
             for lemma, lex_id in syn.lemmas:
-                key = (lemma, lexfile, lex_id)
-                if key in sense_keys:
+                key = (lemma, syn.lexfile, lex_id)
+                if key in self._sense_keys:
                     raise TaxonomyError(
-                        f"duplicate sense key {lemma}%{lexfile}.{lex_id} "
-                        f"in {sense_keys[key]!r} and {sid!r}"
+                        f"duplicate sense key {lemma}%{syn.lexfile}.{lex_id} "
+                        f"in {self._sense_keys[key]!r} and {syn.id!r}"
                     )
-                sense_keys[key] = sid
-                lemma_acc.setdefault(lemma, []).append(sid)
-        self._sense_keys = sense_keys
+                self._sense_keys[key] = syn.id
+                lemma_acc.setdefault(lemma, []).append(syn.id)
         self.lemma_index = {lemma: _sorted_unique(ids) for lemma, ids in lemma_acc.items()}
 
         # Node numbers follow ascending id order, so integer order is string
         # order: sorted adjacency, tie-breaks and the lowest id on a cycle
         # come out in string order.
-        self._ids: list[str] = sorted(synsets)
+        self._ids: list[str] = sorted(self.synsets)
         num = self._num = {sid: i for i, sid in enumerate(self._ids)}
         self.roots: tuple[str, ...] = tuple(
-            sid for sid in self._ids if not synsets[sid].hypernym_ids
+            sid for sid in self._ids if not self.synsets[sid].hypernym_ids
         )
 
         # Downward (parent -> child) and upward adjacency under the mode,
         # indexed by node number.
         down: list[list[int]] = [[] for _ in self._ids]
         up: list[list[int]] = [[] for _ in self._ids]
-        meronymy = relation_mode.includes_meronymy
-        for sid, syn in synsets.items():
+        for sid, syn in self.synsets.items():
             node = num[sid]
-            for parent_id in syn.hypernym_ids:
-                parent = num[parent_id]
-                down[parent].append(node)
-                up[node].append(parent)
-            if meronymy:
-                for part_id in syn.meronym_ids:
-                    part = num[part_id]
-                    down[node].append(part)
-                    up[part].append(node)
+            for parent in syn.hypernym_ids:
+                down[num[parent]].append(node)
+                up[node].append(num[parent])
+            if self.relation_mode.includes_meronymy:
+                for part in syn.meronym_ids:
+                    down[node].append(num[part])
+                    up[num[part]].append(node)
         self._down = [_sorted_unique(kids) for kids in down]
         self._up = [_sorted_unique(parents) for parents in up]
         del down, up  # free the lists before the peel, where loading peaks
@@ -207,10 +202,9 @@ class Taxonomy:
         heights = self._heights = [0] * len(self._ids)
         left = [len(kids) for kids in self._down]
         peeled = [node for node, count in enumerate(left) if not count]
-        up_of = self._up
         for node in peeled:
             height = heights[node] + 1
-            for parent in up_of[node]:
+            for parent in self._up[node]:
                 if heights[parent] < height:
                     heights[parent] = height
                 left[parent] -= 1
@@ -453,15 +447,10 @@ def load_taxonomy(stream: IO, relation_mode: RelationMode = RelationMode.HYPERNY
             _, sid, lexfile, lemma_field = fields
             if sid in records:
                 raise TaxonomyError(f"duplicate synset id {sid!r}", lineno)
-            lemmas = []
-            for chunk in lemma_field.split(","):
-                lemma, sep, lex = chunk.rpartition(":")
-                if not (sep and lemma and lex.isdecimal()):
-                    _parse_lemma_field(lemma_field, lineno)  # raises the error
-                lemmas.append((lemma.lower(), int(lex)))
+            lemmas = _parse_lemma_field(lemma_field, lineno)
             if not lexfile:
                 raise TaxonomyError(f"synset {sid!r} has empty lexfile", lineno)
-            records[sid] = (lexfile, tuple(lemmas))
+            records[sid] = (lexfile, lemmas)
         elif kind in edges and len(fields) == 3:
             _, a, b = fields
             edges[kind].setdefault(a, []).append(b)
