@@ -1,5 +1,9 @@
 """Batch command line: stats, disambiguate, evaluate, sweep.
 
+``disambiguate``, ``evaluate`` and ``sweep`` share one run path; ``evaluate``
+is a ``sweep`` over its one window that renders the report in full.  Every
+check that the flags alone decide is made before any file is opened.
+
 Exit codes: 0 on success with outputs fully written, 1 on input parse
 failures, 2 on configuration problems.  All randomness flows through
 --seed, so any command rerun with the same configuration and seed writes
@@ -14,9 +18,8 @@ import io
 import random
 import sys
 from dataclasses import astuple
-from functools import partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 from . import baselines as bl
 from .corpus import (
@@ -30,13 +33,12 @@ from .corpus import (
 )
 from .density import ConfigError, DensityParams, NhypMode
 from .disambiguator import (
-    Assignment,
-    NounOccurrence,
     apply_random_fallback,
     disambiguate_document,
     write_assignments,
 )
 from .evaluation import (
+    EvalReport,
     Level,
     Population,
     format_pct,
@@ -50,9 +52,6 @@ from .taxonomy import RelationMode, Taxonomy, TaxonomyError, load_taxonomy
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_CONFIG = 2
-
-#: One document's noun occurrences -> its assignments, in order.
-Runner = Callable[[Sequence[NounOccurrence]], list[Assignment]]
 
 STATS_HEADER = "text\twords\tnouns\tnouns_in_lexicon\tmonosemous"
 
@@ -108,20 +107,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("disambiguate", help="write one assignment line per noun")
     _add_common(p, system_flags=True)
 
-    p = sub.add_parser("evaluate", help="score a system against the gold tags")
-    _add_common(p, system_flags=True)
-    p.add_argument("--level", choices=[m.value for m in Level], default="sense")
-    p.add_argument(
-        "--population", choices=[m.value for m in Population], default="all"
-    )
-
-    p = sub.add_parser("sweep", help="evaluate across a list of window sizes")
-    _add_common(p, system_flags=True)
-    p.add_argument("--level", choices=[m.value for m in Level], default="sense")
-    p.add_argument(
-        "--population", choices=[m.value for m in Population], default="all"
-    )
-    p.add_argument(
+    evaluate = sub.add_parser("evaluate", help="score a system against the gold tags")
+    _add_common(evaluate, system_flags=True)
+    sweep = sub.add_parser("sweep", help="evaluate across a list of window sizes")
+    _add_common(sweep, system_flags=True)
+    for p in (evaluate, sweep):
+        p.add_argument("--level", choices=[m.value for m in Level], default="sense")
+        p.add_argument(
+            "--population", choices=[m.value for m in Population], default="all"
+        )
+    sweep.add_argument(
         "--windows",
         required=True,
         help="comma-separated window sizes, e.g. 5,10,15,20,25,30",
@@ -175,45 +170,82 @@ def _read_documents(
     return docs
 
 
-def _configure_system(args, t: Taxonomy) -> Callable[[int], Runner]:
-    """The configured system as ``window -> run``, ``run`` assigning one document.
+def _require_gold(docs) -> None:
+    total = sum(len(doc.occurrences) for _, doc in docs)
+    tagged = sum(sum(k is not None for k in doc.gold) for _, doc in docs)
+    if total and not tagged:
+        raise ConfigError("input carries no gold sense tags")
 
-    Training text (always in the tagged format) is read, and the frequency
-    table built, once per command; only the salience table depends on the
-    window.  The random fallback consumes one seeded generator per window,
-    across the documents in order.
+
+def _run(args) -> tuple[Taxonomy, list[tuple[str, ExtractedNouns]], Iterator]:
+    """The one run path of ``disambiguate``, ``evaluate`` and ``sweep``.
+
+    1. Every check that the flags alone decide, before any file is opened.
+    2. Load the taxonomy, read the inputs and, when scoring, check them
+       for gold tags.
+    3. Read the training text (always in the tagged format) and build the
+       frequency table, once per command.
+    4. Return the taxonomy, the documents and an iterator that yields, for
+       each window as given, one assignment list per document.  Only the
+       salience table depends on the window; the random fallback draws
+       from one seeded generator per window, across the documents in order.
     """
-    if args.baseline in ("mfs", "yarowsky"):
-        train = [doc for _, doc in _read_documents(args.train, "semcor", t)]
-    if args.baseline == "mfs":
-        freq = bl.build_frequency(t, train)
+    scoring = args.command != "disambiguate"
+    if scoring and args.format != "semcor":
+        raise ConfigError(f"{args.command} needs gold tags: --format semcor")
+    if args.command == "sweep":
+        try:
+            windows = [int(w) for w in args.windows.split(",") if w.strip()]
+        except ValueError:
+            raise ConfigError(f"bad --windows list {args.windows!r}") from None
+        if not windows:
+            raise ConfigError("--windows must list at least one size")
+    else:
+        windows = [args.window]
+    sizes = [_odd(w) for w in windows]
+    if args.baseline in ("mfs", "yarowsky") and not args.train:
+        raise ConfigError(f"--baseline {args.baseline} requires --train")
+    if scoring and args.baseline == "yarowsky" and args.level != "file":
+        raise ConfigError("--baseline yarowsky answers at file level only")
     if args.baseline is None:
         params = DensityParams(
             smoothing_exponent=args.exponent,
             nhyp_mode=NhypMode(args.nhyp),
         )
 
-    def for_window(window: int) -> Runner:
-        if args.baseline is None:
+    t = _load_taxonomy(args)
+    docs = _read_documents(args.input, args.format, t)
+    if scoring:
+        _require_gold(docs)
+    if args.baseline in ("mfs", "yarowsky"):
+        train = [doc for _, doc in _read_documents(args.train, "semcor", t)]
+    if args.baseline == "mfs":
+        freq = bl.build_frequency(t, train)
+
+    def per_window():
+        for window, size in zip(windows, sizes):
             rng = random.Random(args.seed)
+            if args.baseline == "yarowsky":
+                table = bl.build_salience(train, t, window_size=size)
+            per_doc = []
+            for _, doc in docs:
+                nouns = doc.occurrences
+                if args.baseline is None:
+                    assignments = disambiguate_document(t, nouns, params, window_size=size)
+                    if args.fallback == "random":
+                        assignments = apply_random_fallback(t, assignments, rng)
+                elif args.baseline == "random":
+                    assignments = bl.random_baseline(nouns, t, seed=args.seed)
+                elif args.baseline == "mfs":
+                    assignments = bl.most_frequent_baseline(nouns, t, freq=freq)
+                elif args.baseline == "yarowsky":
+                    assignments = bl.yarowsky_baseline(t, nouns, table=table, window_size=size)
+                else:
+                    assignments = bl.sussna_baseline(nouns, t, window_size=size, seed=args.seed)
+                per_doc.append(assignments)
+            yield window, per_doc
 
-            def run(nouns):
-                assignments = disambiguate_document(t, nouns, params, window_size=window)
-                if args.fallback == "random":
-                    assignments = apply_random_fallback(t, assignments, rng)
-                return assignments
-
-            return run
-        if args.baseline == "random":
-            return partial(bl.random_baseline, t=t, seed=args.seed)
-        if args.baseline == "mfs":
-            return partial(bl.most_frequent_baseline, t=t, freq=freq)
-        if args.baseline == "yarowsky":
-            table = bl.build_salience(train, t, window_size=window)
-            return partial(bl.yarowsky_baseline, t, table=table, window_size=window)
-        return partial(bl.sussna_baseline, t=t, window_size=window, seed=args.seed)
-
-    return for_window
+    return t, docs, per_window()
 
 
 def _emit(args, text: str) -> None:
@@ -242,14 +274,10 @@ def cmd_stats(args) -> int:
 
 
 def cmd_disambiguate(args) -> int:
-    t = _load_taxonomy(args)
-    window = _odd(args.window)
-    docs = _read_documents(args.input, args.format, t)
-    _check_baseline_config(args, evaluating=False)
-    run = _configure_system(args, t)(window)
+    t, docs, runs = _run(args)
+    [(_, per_doc)] = runs
     buf = io.StringIO()
-    for name, doc in docs:
-        assignments = run(doc.occurrences)
+    for (name, _), assignments in zip(docs, per_doc):
         if len(docs) > 1:
             buf.write(f"# document: {name}\n")
         write_assignments(t, assignments, buf)
@@ -257,64 +285,30 @@ def cmd_disambiguate(args) -> int:
     return EXIT_OK
 
 
-def _check_baseline_config(args, evaluating: bool) -> None:
-    if args.baseline in ("mfs", "yarowsky") and not args.train:
-        raise ConfigError(f"--baseline {args.baseline} requires --train")
-    if evaluating and args.baseline == "yarowsky" and args.level != "file":
-        raise ConfigError("--baseline yarowsky answers at file level only")
-
-
-def _require_gold(docs) -> None:
-    total = sum(len(doc.occurrences) for _, doc in docs)
-    tagged = sum(sum(k is not None for k in doc.gold) for _, doc in docs)
-    if total and not tagged:
-        raise ConfigError("input carries no gold sense tags")
-
-
-def _evaluate_once(args, t: Taxonomy, docs, run: Runner):
-    per_doc = [run(doc.occurrences) for _, doc in docs]
+def _reports(args) -> Iterator[tuple[int, EvalReport]]:
+    """(window as given, merged report over the documents) per window."""
+    t, docs, runs = _run(args)
     level = Level(args.level)
     population = Population(args.population)
-    reports = [
-        score(t, assignments, doc.gold, level, population, system=args.baseline or "density")
-        for (_, doc), assignments in zip(docs, per_doc)
-    ]
-    return merge_reports(reports)
+    system = args.baseline or "density"
+    for window, per_doc in runs:
+        yield window, merge_reports([
+            score(t, assignments, doc.gold, level, population, system=system)
+            for (_, doc), assignments in zip(docs, per_doc)
+        ])
 
 
 def cmd_evaluate(args) -> int:
-    if args.format != "semcor":
-        raise ConfigError("evaluate needs gold tags: --format semcor")
-    t = _load_taxonomy(args)
-    _check_baseline_config(args, evaluating=True)
-    docs = _read_documents(args.input, args.format, t)
-    _require_gold(docs)
-    window = _odd(args.window)  # before any training text is read
-    report = _evaluate_once(args, t, docs, _configure_system(args, t)(window))
+    [(_, report)] = _reports(args)
     _emit(args, report_block(report) + "\n" + report_tsv(report))
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    if args.format != "semcor":
-        raise ConfigError("sweep needs gold tags: --format semcor")
-    try:
-        windows = [int(w) for w in args.windows.split(",") if w.strip()]
-    except ValueError:
-        raise ConfigError(f"bad --windows list {args.windows!r}") from None
-    if not windows:
-        raise ConfigError("--windows must list at least one size")
-    t = _load_taxonomy(args)
-    _check_baseline_config(args, evaluating=True)
-    docs = _read_documents(args.input, args.format, t)
-    _require_gold(docs)
-    sizes = [_odd(w) for w in windows]  # before any training text is read
-    system = _configure_system(args, t)
     lines = ["window\tcoverage\tprecision\trecall"]
-    for w, size in zip(windows, sizes):
-        report = _evaluate_once(args, t, docs, system(size))
+    for window, report in _reports(args):
         lines.append(
-            f"{w}\t{format_pct(report.coverage)}\t{format_pct(report.precision)}"
+            f"{window}\t{format_pct(report.coverage)}\t{format_pct(report.precision)}"
             f"\t{format_pct(report.recall)}"
         )
     _emit(args, "\n".join(lines) + "\n")

@@ -198,25 +198,20 @@ def disambiguate_document(
     nouns: Sequence[NounOccurrence],
     params: DensityParams,
     window_size: int = 31,
-    fallback: str = "none",
-    seed: int = 0,
 ) -> list[Assignment]:
     """One assignment per noun occurrence, in document order.
 
     Every occurrence is the middle of its own window; window results are
     not shared.  ``window_size`` must be odd (it counts the target too);
     the command line accepts even context-sized values and widens them
-    before calling in here.
+    before calling in here.  Undecided occurrences stay Partial or None;
+    ``apply_random_fallback`` turns them into draws.
     """
-    if fallback not in ("none", "random"):
-        raise ValueError(f"unknown fallback {fallback!r}")
     assignments = []
     for i in range(len(nouns)):
         window = build_window(nouns, i, window_size)
         assignment, _ = disambiguate_window(t, window, params)
         assignments.append(assignment)
-    if fallback == "random":
-        assignments = apply_random_fallback(t, assignments, random.Random(seed))
     return assignments
 
 

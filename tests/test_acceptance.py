@@ -32,6 +32,7 @@ from cdwsd.disambiguator import (
     Method,
     NounOccurrence,
     Outcome,
+    apply_random_fallback,
     build_window,
     disambiguate_document,
     disambiguate_window,
@@ -253,8 +254,8 @@ def test_p7_fallback_full_coverage():
         t = random_taxonomy(rng, max_synsets=60, min_synsets=2)
         lemmas = sorted(t.lemma_index)
         nouns = occurrences(*[rng.choice(lemmas) for _ in range(rng.randint(1, 30))])
-        assignments = disambiguate_document(
-            t, nouns, GLOBAL, window_size=5, fallback="random", seed=seed
+        assignments = apply_random_fallback(
+            t, disambiguate_document(t, nouns, GLOBAL, window_size=5), random.Random(seed)
         )
         assert len(assignments) == len(nouns)
         assert all(a.outcome is Outcome.FULL for a in assignments)
@@ -262,8 +263,10 @@ def test_p7_fallback_full_coverage():
     clusters = load_data_taxonomy("two_clusters.tif")
     with open(DATA / "toy_corpus.semcor", encoding="utf-8") as fh:
         doc = extract_nouns(parse_semcor(fh), clusters)
-    assignments = disambiguate_document(
-        clusters, doc.occurrences, GLOBAL, window_size=1, fallback="random", seed=1
+    assignments = apply_random_fallback(
+        clusters,
+        disambiguate_document(clusters, doc.occurrences, GLOBAL, window_size=1),
+        random.Random(1),
     )
     report = score(clusters, assignments, doc.gold, Level.FILE, Population.ALL)
     assert format_pct(report.coverage) == "100.0"

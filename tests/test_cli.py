@@ -111,6 +111,9 @@ class TestCollector:
         code, _ = run(["stats", "--taxonomy", str(cycle), "--input", str(DATA / "toy_corpus.semcor")])
         assert code == EXIT_PARSE
         assert gc.isenabled() is enabled
+        code, _ = run(base_args("disambiguate", window=0))
+        assert code == EXIT_CONFIG
+        assert gc.isenabled() is enabled
 
     def test_outputs_do_not_depend_on_it(self, tmp_path):
         outputs = []
@@ -417,6 +420,31 @@ class TestSweep:
         code, _ = run(base_args("sweep") + ["--windows", "five"])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "system",
+        [
+            [],
+            ["--fallback", "random", "--seed", "3"],
+            ["--baseline", "random", "--seed", "3"],
+            ["--baseline", "mfs", "--train", str(DATA / "toy_train.semcor")],
+            ["--baseline", "yarowsky", "--train", str(DATA / "toy_train.semcor"), "--level", "file"],
+            ["--baseline", "sussna"],
+        ],
+        ids=["density", "density-fallback", "random", "mfs", "yarowsky", "sussna"],
+    )
+    def test_rows_equal_one_window_evaluate(self, system):
+        inputs = [str(DATA / "toy_corpus.semcor"), str(DATA / "toy_train.semcor")]
+        common = ["--taxonomy", str(DATA / "two_clusters.tif"), "--input", *inputs, *system]
+        code, out = run(["sweep", *common, "--windows", "1,3,5"])
+        assert code == EXIT_OK
+        rows = [line.split("\t") for line in out.splitlines()[1:]]
+        assert [row[0] for row in rows] == ["1", "3", "5"]
+        for window, *figures in rows:
+            code, out = run(["evaluate", *common, "--window", window])
+            assert code == EXIT_OK
+            block = dict(line.split(": ") for line in out.split("\n\n")[0].splitlines())
+            assert figures == [block["coverage"], block["precision"], block["recall"]]
+
     @pytest.mark.parametrize("baseline", ["mfs", "yarowsky"])
     def test_training_text_read_once_per_run(self, baseline, monkeypatch):
         parsed = []
@@ -434,6 +462,36 @@ class TestSweep:
         )
         assert code == EXIT_OK
         assert parsed == ["toy_corpus", "toy_train"]
+
+
+class TestFlagPrecedence:
+    """Flags are checked before any file is opened, so a flag error wins."""
+
+    CYCLE = "S\ta\tnoun.act\ta:0\nS\tb\tnoun.act\tb:0\nH\ta\tb\nH\tb\ta\n"
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("disambiguate", [], None),
+            ("disambiguate", ["--exponent", "0"], "smoothing_exponent must be > 0"),
+            ("disambiguate", ["--window", "0"], "--window must be >= 1"),
+            ("disambiguate", ["--baseline", "mfs"], "--baseline mfs requires --train"),
+            ("evaluate", ["--window", "0"], "--window must be >= 1"),
+            ("sweep", ["--windows", "3,0"], "--window must be >= 1"),
+        ],
+    )
+    def test_flag_error_wins_over_cyclic_taxonomy(self, tmp_path, capsys, command, flags, message):
+        cycle = tmp_path / "cycle.tif"
+        cycle.write_text(self.CYCLE)
+        argv = [command, "--taxonomy", str(cycle), "--input", str(DATA / "toy_corpus.semcor")]
+        code, out = run(argv + flags)
+        assert out == ""
+        if message is None:  # the file alone is a parse error
+            assert code == EXIT_PARSE
+            assert capsys.readouterr().err == "cdwsd: parse error: hypernym cycle through 'a'\n"
+        else:
+            assert code == EXIT_CONFIG
+            assert capsys.readouterr().err == f"cdwsd: configuration error: {message}\n"
 
 
 class TestDeterminism:

@@ -25,6 +25,7 @@ from cdwsd.disambiguator import (
     NounOccurrence,
     Outcome,
     WindowTrace,
+    apply_random_fallback,
     build_window,
     disambiguate_document,
     disambiguate_window,
@@ -155,8 +156,10 @@ class TestDisambiguateDocument:
         nouns = occurrences("trout", "salmon", "guitar")
         for w in (1, 3, 5):
             for seed in (0, 1):
-                assignments = disambiguate_document(
-                    clusters, nouns, LOCAL, window_size=w, fallback="random", seed=seed
+                assignments = apply_random_fallback(
+                    clusters,
+                    disambiguate_document(clusters, nouns, LOCAL, window_size=w),
+                    random.Random(seed),
                 )
                 assert [a.senses for a in assignments] == [("a03",), ("a04",), ("b03",)]
                 assert all(a.method is Method.MONOSEMOUS for a in assignments)
@@ -165,8 +168,10 @@ class TestDisambiguateDocument:
         nouns = occurrences("bass")  # unanswerable without fallback
         plain = disambiguate_document(clusters, nouns, LOCAL, window_size=3)
         assert plain[0].outcome is Outcome.NONE
-        covered = disambiguate_document(
-            clusters, nouns, LOCAL, window_size=3, fallback="random", seed=7
+        covered = apply_random_fallback(
+            clusters,
+            disambiguate_document(clusters, nouns, LOCAL, window_size=3),
+            random.Random(7),
         )
         assert covered[0].outcome is Outcome.FULL
         assert covered[0].method is Method.FALLBACK
@@ -175,8 +180,10 @@ class TestDisambiguateDocument:
     def test_same_seed_same_output(self, clusters):
         nouns = occurrences("bass", "bass", "bass", "trout")
         runs = [
-            disambiguate_document(
-                clusters, nouns, LOCAL, window_size=1, fallback="random", seed=42
+            apply_random_fallback(
+                clusters,
+                disambiguate_document(clusters, nouns, LOCAL, window_size=1),
+                random.Random(42),
             )
             for _ in range(2)
         ]
@@ -292,8 +299,8 @@ class TestPartialOutcome:
         t = build_taxonomy(self.TIF)
         nouns = occurrences("w", "pet")
         for seed in range(8):
-            assignments = disambiguate_document(
-                t, nouns, LOCAL, window_size=3, fallback="random", seed=seed
+            assignments = apply_random_fallback(
+                t, disambiguate_document(t, nouns, LOCAL, window_size=3), random.Random(seed)
             )
             assert assignments[0].method is Method.FALLBACK
             assert assignments[0].senses[0] in {"qa1", "qa2"}  # never qb1
@@ -304,8 +311,9 @@ def test_assigned_senses_belong_to_lemma():
     t = random_taxonomy(rng, max_synsets=50, min_synsets=10)
     lemmas = sorted(t.lemma_index)
     doc = occurrences(*[rng.choice(lemmas) for _ in range(25)])
-    for fallback in ("none", "random"):
-        for a in disambiguate_document(t, doc, GLOBAL, 5, fallback=fallback, seed=2):
+    plain = disambiguate_document(t, doc, GLOBAL, 5)
+    for assignments in (plain, apply_random_fallback(t, plain, random.Random(2))):
+        for a in assignments:
             allowed = set(t.senses_of(a.occurrence.lemma))
             assert set(a.senses) <= allowed
             if a.outcome is Outcome.FULL:

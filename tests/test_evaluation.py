@@ -284,15 +284,18 @@ def test_compare_from_real_system_runs():
     from cdwsd.baselines import sussna_baseline
     from cdwsd.corpus import extract_nouns, parse_semcor
     from cdwsd.density import DensityParams, NhypMode
-    from cdwsd.disambiguator import disambiguate_document
+    from cdwsd.disambiguator import apply_random_fallback, disambiguate_document
     from helpers import DATA
 
     t = load_data_taxonomy("two_clusters.tif")
     with open(DATA / "toy_corpus.semcor", encoding="utf-8") as fh:
         doc = extract_nouns(parse_semcor(fh), t)
-    dense = disambiguate_document(
-        t, doc.occurrences, DensityParams(nhyp_mode=NhypMode.GLOBAL),
-        window_size=3, fallback="random", seed=0,
+    dense = apply_random_fallback(
+        t,
+        disambiguate_document(
+            t, doc.occurrences, DensityParams(nhyp_mode=NhypMode.GLOBAL), window_size=3
+        ),
+        random.Random(0),
     )
     dist = sussna_baseline(doc.occurrences, t, seed=0)
     reports = [
