@@ -10,15 +10,29 @@ size:
 where ``e`` is a smoothing exponent (0.20 unless reconfigured) and nhyp is
 either the concept's own mean branching factor or one global estimate for
 the whole hierarchy.
+
+The candidates and their coverage live on the window's ``Lattice``.  The
+first ``score_candidates`` call builds the coverage map (concept ->
+occurrence -> covered senses) in one pass over the ancestor sets of the
+remaining senses.  ``Lattice.freeze`` keeps it current: the next call
+that reads the map subtracts only the senses each frozen word lost,
+walking only their ancestor sets, and marks every concept over the word's
+old senses for rescoring, since only those can change coverage,
+resolvability or marks.  That call scores again just those concepts and
+reuses every other ``DensityScore``; a qualifying call with no open word
+left returns at once, since nothing can qualify.  Each word is frozen at
+most once, so each sense's ancestors are walked at most twice per window.
+Changing ``remaining`` or ``frozen`` by hand after the first score is
+unsupported: the map would no longer match them.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .taxonomy import SubhierarchyMetrics, Taxonomy
 
@@ -42,6 +56,8 @@ class DensityParams:
     def __post_init__(self):
         if not self.smoothing_exponent > 0:
             raise ConfigError("smoothing_exponent must be > 0")
+        if math.isinf(self.smoothing_exponent):
+            raise ConfigError("smoothing_exponent must be finite")
 
 
 @dataclass(frozen=True)
@@ -104,11 +120,30 @@ def conceptual_density(
 
 @dataclass
 class Lattice:
-    """Mutable per-window working state for the disambiguation loop."""
+    """Mutable per-window working state for the disambiguation loop.
+
+    The first ``score_candidates`` call builds the coverage map (concept ->
+    occurrence -> covered senses) from ``remaining``; after that ``freeze``
+    is the only supported way to narrow a word, because it keeps the map
+    current.  Changing ``remaining`` or ``frozen`` by hand after the first
+    score leaves the map stale.
+    """
 
     lemmas: tuple[str, ...]
     remaining: list[set[str]]
     frozen: list[bool]
+    # the coverage map and the taxonomy it was built over
+    _taxonomy: Taxonomy | None = field(default=None, init=False, repr=False, compare=False)
+    _covered: dict[str, dict[int, set[str]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    # score_candidates' cache: the arguments it was filled for, the sort key
+    # and score of every listed concept, and the concepts to score again
+    _scored_for: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _scored: dict[str, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _dirty: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
+    # (occurrence, old senses, kept senses) of freezes not yet taken out of the map
+    _pending: list[tuple[int, set[str], set[str]]] = field(
+        default_factory=list, init=False, repr=False, compare=False)
 
     @classmethod
     def for_window(cls, t: Taxonomy, lemmas: Sequence[str]) -> "Lattice":
@@ -127,6 +162,61 @@ class Lattice:
             if not self.frozen[i] and len(self.remaining[i]) >= 2
         ]
 
+    def _coverage(self, t: Taxonomy) -> dict[str, dict[int, set[str]]]:
+        """Concept -> occurrence -> remaining senses under the concept.
+
+        Built on first use; after that, each pending freeze takes out the
+        senses its word lost and marks the concepts over its old senses.
+        """
+        if self._taxonomy is not t:
+            self._pending.clear()
+            ancestors_of = t.ancestors_of
+            covered: dict[str, dict[int, set[str]]] = {}
+            for idx, senses in enumerate(self.remaining):
+                for s in senses:
+                    for anc in ancestors_of(s):
+                        by_word = covered.get(anc)
+                        if by_word is None:
+                            covered[anc] = {idx: {s}}
+                        elif idx in by_word:
+                            by_word[idx].add(s)
+                        else:
+                            by_word[idx] = {s}
+            self._taxonomy, self._covered, self._scored_for = t, covered, None
+        ancestors_of, covered = t.ancestors_of, self._covered
+        for idx, old, keep in self._pending:
+            over_lost = set().union(*map(ancestors_of, old - keep))
+            for anc in over_lost:
+                by_word = covered[anc]
+                left = by_word[idx] & keep
+                if left:
+                    by_word[idx] = left
+                elif len(by_word) > 1:
+                    del by_word[idx]
+                else:
+                    del covered[anc]
+            self._dirty.update(over_lost, *map(ancestors_of, keep))
+        self._pending.clear()
+        return covered
+
+    def freeze(self, idx: int, senses: Iterable[str]) -> None:
+        """Keep only ``senses`` for occurrence ``idx`` and freeze it.
+
+        Once the coverage map exists, the next ``score_candidates`` call
+        that needs it takes the lost senses out (``_coverage``).  A word is
+        frozen at most once, so each sense's ancestors are walked at most
+        twice per window: once by the build and once for its freeze.
+        """
+        if self.frozen[idx]:
+            raise ValueError(f"occurrence {idx} is already frozen")
+        old, keep = self.remaining[idx], set(senses)
+        if not keep or not keep <= old:
+            raise ValueError(f"occurrence {idx} must keep a non-empty subset of its senses")
+        self.remaining[idx] = keep
+        self.frozen[idx] = True
+        if self._taxonomy is not None:
+            self._pending.append((idx, old, keep))
+
 
 def score_candidates(
     t: Taxonomy,
@@ -138,10 +228,9 @@ def score_candidates(
 ) -> list[DensityScore]:
     """Score the candidate concepts of the lattice, best first.
 
-    Candidates are the union of ancestors of all remaining senses.  Coverage
-    is accumulated in one pass over the (small) ancestor sets of those
-    senses rather than by downward reachability.  Ordering: cd descending,
-    then fewer descendants (tighter subhierarchy), then ascending id.
+    Candidates are the concepts of the lattice's coverage map: the union
+    of ancestors of all remaining senses.  Ordering: cd descending, then
+    fewer descendants (tighter subhierarchy), then ascending id.
 
     With ``qualifying`` set, only the concepts the elimination loop may
     select are scored: those that cover at least two occurrences, strictly
@@ -149,32 +238,36 @@ def score_candidates(
     lemmas.  The rule is tested on raw coverage, cheapest test first, before
     any metric or density is computed, so the result is the full list
     filtered by that rule, in the same order.
+
+    Scores are kept on the lattice.  A repeated call with the same
+    arguments scores again only the concepts over the words frozen since
+    the last call; a ``DensityScore`` is immutable, so every other concept
+    keeps its last one.  With ``qualifying`` set and no open occurrence
+    left, nothing can qualify and the call returns at once.
     """
     if not lattice.lemmas:
         raise ValueError("empty lattice")
 
-    lemmas = lattice.lemmas
-    ancestors_of = t.ancestors_of
-    covered: dict[str, dict[int, set[str]]] = {}
-    for idx, senses in enumerate(lattice.remaining):
-        for s in senses:
-            for anc in ancestors_of(s):
-                by_word = covered.get(anc)
-                if by_word is None:
-                    covered[anc] = {idx: {s}}
-                elif idx in by_word:
-                    by_word[idx].add(s)
-                else:
-                    by_word[idx] = {s}
-
     # sense count of every open occurrence; a concept narrows one when it
     # covers fewer of its senses (closed occurrences read 0 and never do)
     open_size = {i: len(lattice.remaining[i]) for i in lattice.open_indices()}
+    if qualifying and not open_size:
+        return []
+    lemmas = lattice.lemmas
+    covered = lattice._coverage(t)
+    key = (params, dedup_by_lemma, qualifying)
+    if lattice._scored_for == key:
+        dirty = lattice._dirty
+        scored = {c: entry for c, entry in lattice._scored.items() if c not in dirty}
+        todo = [(c, covered[c]) for c in dirty if c in covered]
+    else:
+        scored, todo = {}, covered.items()
+    lattice._scored_for, lattice._scored, lattice._dirty = key, scored, set()
+
     global_value = (
         t.global_nhyp() if params.nhyp_mode is NhypMode.GLOBAL else 0.0
     )
-    decorated = []
-    for concept, cov in covered.items():
+    for concept, cov in todo:
         if qualifying and len(cov) < 2:
             continue
         resolvable = any(len(ss) < open_size.get(i, 0) for i, ss in cov.items())
@@ -192,6 +285,5 @@ def score_candidates(
             covered={i: frozenset(ss) for i, ss in cov.items()},
             resolvable=resolvable,
         )
-        decorated.append((-score.cd, metrics.descendants, concept, score))
-    decorated.sort()
-    return [entry[3] for entry in decorated]
+        scored[concept] = (-score.cd, metrics.descendants, concept, score)
+    return [entry[3] for entry in sorted(scored.values())]

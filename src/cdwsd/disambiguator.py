@@ -9,6 +9,9 @@ least two distinct lemmas and strictly narrows at least one still-open
 occurrence; without such a rule every leaf sense would win with density 1
 and selection would be vacuous.  The rule is applied to raw coverage
 before density is computed, so concepts that cannot win are never scored.
+The loop narrows a word only through ``Lattice.freeze``, which keeps the
+window's coverage map current, so each iteration rescores only the
+concepts over the words the last winner froze.
 
 Window results apply only to the middle noun: freezing is window-local
 and nothing propagates across windows, so each occurrence is decided
@@ -142,8 +145,7 @@ def disambiguate_window(
         winners.append(winner)
         for idx, senses in winner.covered.items():
             if not lattice.frozen[idx]:
-                lattice.remaining[idx] = set(senses)
-                lattice.frozen[idx] = True
+                lattice.freeze(idx, senses)
                 if idx == window.target and winning_cd is None:
                     winning_cd = winner.cd
 

@@ -238,6 +238,13 @@ class TestDisambiguate:
             "cdwsd: configuration error: smoothing_exponent must be > 0\n"
         )
 
+    def test_infinite_exponent_is_config_error(self, capsys):
+        code, _ = run(base_args("disambiguate") + ["--exponent", "inf"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "cdwsd: configuration error: smoothing_exponent must be finite\n"
+        )
+
     @pytest.mark.parametrize("baseline", ["mfs", "yarowsky"])
     def test_untagged_training_is_config_error(self, tmp_path, capsys, baseline):
         untagged = tmp_path / "untagged.semcor"

@@ -12,6 +12,7 @@ hold: the flags are checked before any file is opened.
 import contextlib
 import gc
 import io
+import math
 import random
 import tempfile
 from pathlib import Path
@@ -180,6 +181,8 @@ def flag_error(command: str, flags: dict) -> str | None:
         return "--baseline yarowsky answers at file level only"
     if baseline is None and not float(flags.get("exponent", 0.2)) > 0:
         return "smoothing_exponent must be > 0"
+    if baseline is None and math.isinf(float(flags.get("exponent", 0.2))):
+        return "smoothing_exponent must be finite"
     return None
 
 

@@ -9,6 +9,7 @@ arithmetic:
     (1 + 3 + 3**(2**0.2)) / 4            = 1.883096999372660294...
 """
 
+import math
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdwsd.density import (
+    ConfigError,
     DensityParams,
     Lattice,
     NhypMode,
@@ -87,6 +89,10 @@ class TestFormula:
     def test_exponent_must_be_positive(self):
         with pytest.raises(ValueError):
             DensityParams(smoothing_exponent=0.0)
+
+    def test_exponent_must_be_finite(self):
+        with pytest.raises(ConfigError, match="smoothing_exponent must be finite"):
+            DensityParams(smoothing_exponent=math.inf)
 
 
 class TestCollectMarks:
@@ -249,3 +255,55 @@ def test_qualifying_is_full_list_filtered_by_loop_rule(seed, meronymy, mode, ded
     full = score_candidates(t, lattice, params, dedup)
     fast = score_candidates(t, lattice, params, dedup, qualifying=True)
     assert fast == [s for s in full if loop_rule(s, lattice)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10**9),
+    meronymy=st.booleans(),
+    mode=st.sampled_from([NhypMode.LOCAL, NhypMode.GLOBAL]),
+    dedup=st.booleans(),
+)
+def test_freeze_keeps_scores_equal_to_a_fresh_lattice(seed, meronymy, mode, dedup):
+    rng = random.Random(seed)
+    t = random_taxonomy(rng, max_synsets=40, min_synsets=2, meronymy=meronymy)
+    window = random_window(rng, t, max_words=7)
+    params = DensityParams(nhyp_mode=mode)
+    lemmas = tuple(lemma for lemma, _ in window)
+    frozen = [rng.random() < 0.3 for _ in window]
+    # one lattice per scorer, so that each keeps its own scores across freezes
+    lattices = {
+        qualifying: Lattice(lemmas, [set(senses) for _, senses in window], list(frozen))
+        for qualifying in (False, True)
+    }
+    order = [i for i in range(len(window)) if not frozen[i]]
+    rng.shuffle(order)
+    for step in [None] + order:
+        if step is not None:
+            senses = sorted(lattices[False].remaining[step])
+            keep = rng.sample(senses, rng.randint(1, len(senses)))
+            for lattice in lattices.values():
+                lattice.freeze(step, keep)
+        # several freezes may fall between two scores, as in the loop
+        if step is not None and rng.random() < 0.3:
+            continue
+        state = lattices[False]
+        fresh = Lattice(lemmas, [set(r) for r in state.remaining], list(state.frozen))
+        for qualifying, lattice in lattices.items():
+            assert lattice.remaining == state.remaining and lattice.frozen == state.frozen
+            got = score_candidates(t, lattice, params, dedup, qualifying=qualifying)
+            assert got == score_candidates(t, fresh, params, dedup, qualifying=qualifying)
+
+
+def test_freeze_narrows_each_word_once_to_a_subset():
+    t = load_data_taxonomy("two_clusters.tif")
+    lattice = Lattice.for_window(t, ["trout", "bass"])
+    score_candidates(t, lattice, LOCAL)
+    with pytest.raises(ValueError, match="non-empty subset"):
+        lattice.freeze(1, [])
+    with pytest.raises(ValueError, match="non-empty subset"):
+        lattice.freeze(1, ["a03"])  # a trout sense, not a bass one
+    lattice.freeze(1, ["a02"])
+    assert lattice.remaining[1] == {"a02"} and lattice.frozen[1]
+    with pytest.raises(ValueError, match="already frozen"):
+        lattice.freeze(1, ["a02"])

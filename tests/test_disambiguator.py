@@ -31,8 +31,9 @@ from cdwsd.disambiguator import (
     disambiguate_window,
     write_assignments,
 )
+from cdwsd.taxonomy import RelationMode, Taxonomy
 
-from helpers import load_data_taxonomy, random_taxonomy
+from helpers import DATA, load_data_taxonomy, random_taxonomy
 
 LOCAL = DensityParams(nhyp_mode=NhypMode.LOCAL)
 GLOBAL = DensityParams(nhyp_mode=NhypMode.GLOBAL)
@@ -324,22 +325,53 @@ def test_assigned_senses_belong_to_lemma():
                 assert a.senses == ()
 
 
+@pytest.mark.parametrize("mode", [NhypMode.LOCAL, NhypMode.GLOBAL])
+def test_window_walks_each_sense_ancestors_at_most_twice(mode, monkeypatch):
+    # car_parts has meronym cycles, so ancestor sets span most of the
+    # taxonomy; re-walking them every iteration is what this bound forbids
+    t = load_data_taxonomy("car_parts.tif", RelationMode.HYPERNYMY_MERONYMY)
+    words = (DATA / "car_parts.txt").read_text(encoding="utf-8").split()
+    nouns = occurrences(*words)
+    calls = []
+    ancestors_of = Taxonomy.ancestors_of
+
+    def counted(self, sense):
+        calls.append(sense)
+        return ancestors_of(self, sense)
+
+    monkeypatch.setattr(Taxonomy, "ancestors_of", counted)
+    looped = 0
+    for size in (5, 9, len(nouns)):
+        for target in range(len(nouns)):
+            window = build_window(nouns, target, size)
+            calls.clear()
+            _, trace = disambiguate_window(t, window, DensityParams(nhyp_mode=mode))
+            senses = sum(len(t.senses_of(o.lemma)) for o in window.members)
+            assert len(calls) <= 2 * senses
+            looped += len(trace.winners) >= 3
+    assert looped  # some windows run three or more iterations
+
+
 def reference_window(t, window, params):
     """The elimination loop over the full scorer and an explicit loop rule."""
     occ = window.members[window.target]
     all_senses = t.senses_of(occ.lemma)
     if len(all_senses) == 1:
         return Assignment(occ, Outcome.FULL, all_senses, Method.MONOSEMOUS), WindowTrace([])
-    lattice = Lattice.for_window(t, [o.lemma for o in window.members])
+    lemmas = tuple(o.lemma for o in window.members)
+    remaining = [set(t.senses_of(lemma)) for lemma in lemmas]
+    frozen = [False] * len(lemmas)
     winners, winning_cd = [], None
     while True:
+        # a fresh lattice per iteration: the oracle shares no incremental state
+        lattice = Lattice(lemmas, [set(r) for r in remaining], list(frozen))
         winner = next(
             (
                 s
                 for s in score_candidates(t, lattice, params)
-                if len({lattice.lemmas[i] for i in s.covered_words}) >= 2
+                if len({lemmas[i] for i in s.covered_words}) >= 2
                 and any(
-                    not lattice.frozen[i] and len(s.covered[i]) < len(lattice.remaining[i])
+                    not frozen[i] and len(s.covered[i]) < len(remaining[i])
                     for i in s.covered_words
                 )
             ),
@@ -350,12 +382,12 @@ def reference_window(t, window, params):
         assert len(winners) < len(window.members)  # each winner freezes a word
         winners.append(winner)
         for idx in winner.covered_words:
-            if not lattice.frozen[idx]:
-                lattice.remaining[idx] = set(winner.covered[idx])
-                lattice.frozen[idx] = True
+            if not frozen[idx]:
+                remaining[idx] = set(winner.covered[idx])
+                frozen[idx] = True
                 if idx == window.target and winning_cd is None:
                     winning_cd = winner.cd
-    left = tuple(sorted(lattice.remaining[window.target]))
+    left = tuple(sorted(remaining[window.target]))
     if len(left) == 1:
         outcome = Outcome.FULL
     elif len(left) < len(all_senses):
