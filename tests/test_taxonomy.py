@@ -6,6 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdwsd.baselines import (
+    SalienceTable,
+    mutual_constraint_assignment,
+    random_baseline,
+    sussna_baseline,
+    yarowsky_baseline,
+)
+from cdwsd.density import DensityParams, Lattice
+from cdwsd.disambiguator import (
+    NounOccurrence,
+    Window,
+    disambiguate_document,
+    disambiguate_window,
+)
 from cdwsd.taxonomy import (
     HEIGHT_SEARCH_STEPS,
     NHYP_TOLERANCE,
@@ -45,6 +59,21 @@ H\tp2\tg
 H\tk\tp1
 H\tk\tp2
 """
+
+# every library entry point that takes lemmas, called on the nouns "bass"
+# and the unknown "xyzzy"
+UNKNOWN_LEMMA_CALLS = {
+    "random_baseline": lambda t, nouns: random_baseline(nouns, t),
+    "yarowsky_baseline": lambda t, nouns: yarowsky_baseline(t, nouns, SalienceTable()),
+    "mutual_constraint_assignment": lambda t, nouns: mutual_constraint_assignment(
+        t, [o.lemma for o in nouns], random.Random(0)),
+    "sussna_baseline": lambda t, nouns: sussna_baseline(nouns, t),
+    "Lattice.for_window": lambda t, nouns: Lattice.for_window(t, [o.lemma for o in nouns]),
+    "disambiguate_window": lambda t, nouns: disambiguate_window(
+        t, Window(target=1, members=tuple(nouns)), DensityParams()),
+    "disambiguate_document": lambda t, nouns: disambiguate_document(
+        t, nouns, DensityParams(), window_size=3),
+}
 
 
 class TestLoading:
@@ -152,6 +181,14 @@ class TestSenses:
         assert t.resolve_sense_key("bass", "noun.animal", 0) == "a02"
         assert t.resolve_sense_key("bass", "noun.group", 0) is None
         assert t.sense_key_of("bass", "a02") == "noun.animal.0"
+
+    @pytest.mark.parametrize("entry_point", list(UNKNOWN_LEMMA_CALLS), ids=str)
+    def test_unknown_lemma_is_rejected_by_every_entry_point(self, entry_point):
+        t = load_data_taxonomy("two_clusters.tif")
+        nouns = [NounOccurrence(0, "bass"), NounOccurrence(1, "xyzzy")]
+        with pytest.raises(ValueError) as info:
+            UNKNOWN_LEMMA_CALLS[entry_point](t, nouns)
+        assert str(info.value) == "lemma 'xyzzy' is not in the taxonomy"
 
 
 class TestMetrics:
