@@ -31,14 +31,11 @@ def random_baseline(
     rng = random.Random(seed)
     out = []
     for occ in nouns:
-        senses = t.senses_of(occ.lemma)
-        if not senses:
-            raise ValueError(f"lemma {occ.lemma!r} is not in the taxonomy")
         out.append(
             Assignment(
                 occurrence=occ,
                 outcome=Outcome.FULL,
-                senses=(rng.choice(senses),),
+                senses=(rng.choice(t.known_senses(occ.lemma)),),
                 method=Method.RANDOM,
             )
         )
@@ -103,10 +100,15 @@ class FrequencyTable:
         return min(candidates)[1]
 
 
-def build_frequency(t: Taxonomy, train: Sequence[ExtractedNouns]) -> FrequencyTable:
-    """Count the resolvable gold senses; ConfigError if no noun is gold-tagged."""
+def _require_tagged(train: Sequence[ExtractedNouns]) -> None:
+    """ConfigError unless some training noun carries a gold tag."""
     if all(key is None for doc in train for key in doc.gold):
         raise ConfigError("training corpus has no gold-tagged nouns")
+
+
+def build_frequency(t: Taxonomy, train: Sequence[ExtractedNouns]) -> FrequencyTable:
+    """Count the resolvable gold senses; ConfigError if no noun is gold-tagged."""
+    _require_tagged(train)
     table = FrequencyTable()
     for doc in train:
         for occ, key in zip(doc.occurrences, doc.gold):
@@ -141,6 +143,19 @@ def most_frequent_baseline(
 # -- category salience -------------------------------------------------------
 
 
+def _context(
+    nouns: Sequence[NounOccurrence], i: int, window_size: int
+) -> Iterator[str]:
+    """Lemmas of the other nouns in the window around ``nouns[i]``.
+
+    Training and answering both read this, so they see the same context.
+    """
+    window = build_window(nouns, i, window_size)
+    for j, member in enumerate(window.members):
+        if j != window.target:
+            yield member.lemma
+
+
 @dataclass
 class SalienceTable:
     """Association ratios between context lemmas and lexicographer files."""
@@ -157,32 +172,28 @@ def build_salience(
     Co-occurrence counts pair each gold-tagged target's category with every
     other noun token in its window.  P(w|cat) carries add-one smoothing
     over the context vocabulary, so every (seen word, seen category) cell
-    gets a finite value; P(w) is unsmoothed (w was seen).
+    gets a finite value; P(w) is unsmoothed (w was seen).  ConfigError if
+    no noun is gold-tagged.
     """
+    _require_tagged(train)
     pair_counts: Counter[tuple[str, str]] = Counter()
     word_counts: Counter[str] = Counter()
     cat_counts: Counter[str] = Counter()
     target_cats: Counter[str] = Counter()
-    targets = 0
     for doc in train:
         nouns = doc.occurrences
-        for i, (occ, key) in enumerate(zip(nouns, doc.gold)):
+        for i, key in enumerate(doc.gold):
             if key is None:
                 continue
             cat = key.lexfile
-            targets += 1
             target_cats[cat] += 1
-            window = build_window(nouns, i, window_size)
-            for j, member in enumerate(window.members):
-                if j == window.target:
-                    continue
-                pair_counts[(member.lemma, cat)] += 1
-                word_counts[member.lemma] += 1
+            for lemma in _context(nouns, i, window_size):
+                pair_counts[(lemma, cat)] += 1
+                word_counts[lemma] += 1
                 cat_counts[cat] += 1
-    if targets == 0:
-        raise ConfigError("training corpus has no gold-tagged nouns")
 
     table = SalienceTable()
+    targets = sum(target_cats.values())
     table.priors = {cat: target_cats[cat] / targets for cat in target_cats}
     vocab = sorted(word_counts)
     total = sum(word_counts.values())
@@ -210,16 +221,11 @@ def yarowsky_baseline(
     """
     out = []
     for i, occ in enumerate(nouns):
-        candidates = sorted({t.synsets[s].lexfile for s in t.senses_of(occ.lemma)})
-        if not candidates:
-            raise ValueError(f"lemma {occ.lemma!r} is not in the taxonomy")
-        window = build_window(nouns, i, window_size)
+        candidates = sorted({t.synsets[s].lexfile for s in t.known_senses(occ.lemma)})
         scores = {cat: 0.0 for cat in candidates}
-        for j, member in enumerate(window.members):
-            if j == window.target:
-                continue
+        for lemma in _context(nouns, i, window_size):
             for cat in candidates:
-                scores[cat] += table.salience.get((member.lemma, cat), 0.0)
+                scores[cat] += table.salience.get((lemma, cat), 0.0)
         best = min(candidates, key=lambda cat: (-scores[cat], cat))
         out.append(
             Assignment(
@@ -276,12 +282,7 @@ def mutual_constraint_assignment(
     All minimising combinations are kept, in lexicographic sense order, and
     one is drawn from ``rng`` (a single draw even without a tie).
     """
-    pools = []
-    for lemma in lemmas:
-        senses = t.senses_of(lemma)
-        if not senses:
-            raise ValueError(f"lemma {lemma!r} is not in the taxonomy")
-        pools.append(senses)
+    pools = [t.known_senses(lemma) for lemma in lemmas]
     if not pools:
         return ()
 
@@ -339,12 +340,7 @@ def sussna_baseline(
     rng = random.Random(seed)
     n = len(nouns)
     k = min(mutual_size, n)
-    pools = []
-    for occ in nouns:
-        senses = t.senses_of(occ.lemma)
-        if not senses:
-            raise ValueError(f"lemma {occ.lemma!r} is not in the taxonomy")
-        pools.append(senses)
+    pools = [t.known_senses(occ.lemma) for occ in nouns]
     chosen: list[str] = []
     if k:
         chosen.extend(mutual_constraint_assignment(t, [o.lemma for o in nouns[:k]], rng))

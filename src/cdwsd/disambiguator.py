@@ -121,9 +121,7 @@ def disambiguate_window(
     fewer survive, None if its sense set was never touched.
     """
     target_occ = window.members[window.target]
-    target_senses = t.senses_of(target_occ.lemma)
-    if not target_senses:
-        raise ValueError(f"lemma {target_occ.lemma!r} is not in the taxonomy")
+    target_senses = t.known_senses(target_occ.lemma)
     if len(target_senses) == 1:
         assignment = Assignment(
             occurrence=target_occ,

@@ -178,35 +178,28 @@ def compare(reports: Sequence[EvalReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _report_fields(report: EvalReport) -> list[tuple[str, str]]:
+    """The report's (name, value) pairs, in output order."""
+    return [
+        ("system", report.system or "-"),
+        ("level", report.level.value),
+        ("population", report.population.value),
+        ("total", str(report.total)),
+        ("answered", str(report.answered)),
+        ("correct", str(report.correct)),
+        ("gold_unresolvable", str(report.gold_unresolvable)),
+        ("coverage", format_pct(report.coverage)),
+        ("precision", format_pct(report.precision)),
+        ("recall", format_pct(report.recall)),
+    ]
+
+
 def report_block(report: EvalReport) -> str:
     """Structured key/value rendering of one report."""
-    lines = [
-        f"system: {report.system}" if report.system else "system: -",
-        f"level: {report.level.value}",
-        f"population: {report.population.value}",
-        f"total: {report.total}",
-        f"answered: {report.answered}",
-        f"correct: {report.correct}",
-        f"gold_unresolvable: {report.gold_unresolvable}",
-        f"coverage: {format_pct(report.coverage)}",
-        f"precision: {format_pct(report.precision)}",
-        f"recall: {format_pct(report.recall)}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-REPORT_TSV_HEADER = (
-    "system\tlevel\tpopulation\ttotal\tanswered\tcorrect"
-    "\tgold_unresolvable\tcoverage\tprecision\trecall"
-)
+    return "".join(f"{name}: {value}\n" for name, value in _report_fields(report))
 
 
 def report_tsv(report: EvalReport) -> str:
     """One-row tab-separated rendering (with header) of one report."""
-    row = (
-        f"{report.system or '-'}\t{report.level.value}\t{report.population.value}"
-        f"\t{report.total}\t{report.answered}\t{report.correct}"
-        f"\t{report.gold_unresolvable}\t{format_pct(report.coverage)}"
-        f"\t{format_pct(report.precision)}\t{format_pct(report.recall)}"
-    )
-    return REPORT_TSV_HEADER + "\n" + row + "\n"
+    names, values = zip(*_report_fields(report))
+    return "\t".join(names) + "\n" + "\t".join(values) + "\n"

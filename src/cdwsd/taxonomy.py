@@ -1,7 +1,9 @@
 """Noun taxonomy: loading, validation, and subhierarchy metrics.
 
-``load_taxonomy`` is the only code that checks TIF records; it builds the
-Taxonomy, whose constructor indexes the records that function validated.
+``load_taxonomy`` checks each TIF record and builds the Taxonomy, whose
+constructor indexes the records that function validated.  While it
+indexes, the constructor checks the two invariants that span records:
+no sense key names two synsets, and hypernym edges form no cycle.
 The taxonomy is a DAG of synsets connected by hypernym (is-a) edges and,
 optionally, meronym (whole-part) edges.  Hypernym edges must be acyclic;
 once meronym edges are folded in as additional parent->child links the
@@ -250,6 +252,13 @@ class Taxonomy:
     def senses_of(self, lemma: str) -> tuple[str, ...]:
         """Synset ids carrying ``lemma`` (case-insensitive), ascending; () if none."""
         return self.lemma_index.get(lemma.lower(), ())
+
+    def known_senses(self, lemma: str) -> tuple[str, ...]:
+        """``senses_of(lemma)``; ValueError if the taxonomy has no sense of it."""
+        senses = self.senses_of(lemma)
+        if not senses:
+            raise ValueError(f"lemma {lemma!r} is not in the taxonomy")
+        return senses
 
     def resolve_sense_key(self, lemma: str, lexfile: str, lex_id: int) -> str | None:
         """Synset id joined through (lemma, lexfile, lex_id), or None."""

@@ -63,6 +63,7 @@ H\tk\tp2
 # every library entry point that takes lemmas, called on the nouns "bass"
 # and the unknown "xyzzy"
 UNKNOWN_LEMMA_CALLS = {
+    "Taxonomy.known_senses": lambda t, nouns: [t.known_senses(o.lemma) for o in nouns],
     "random_baseline": lambda t, nouns: random_baseline(nouns, t),
     "yarowsky_baseline": lambda t, nouns: yarowsky_baseline(t, nouns, SalienceTable()),
     "mutual_constraint_assignment": lambda t, nouns: mutual_constraint_assignment(
