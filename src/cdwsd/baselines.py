@@ -251,25 +251,6 @@ def conceptual_distance(t: Taxonomy, a: str, b: str) -> float:
     return t.distances(a, {b}).get(b, math.inf)
 
 
-class _DistanceCache:
-    """Reference capped distances for the tests' brute-force oracles.
-
-    ``capped(a, b)`` is the shortest-path length between two synsets, or the
-    taxonomy size for a disconnected pair, memoized per unordered pair.
-    """
-
-    def __init__(self, t: Taxonomy):
-        self.t = t
-        self._pairs: dict[tuple[str, str], int] = {}
-
-    def capped(self, a: str, b: str) -> int:
-        key = (a, b) if a <= b else (b, a)
-        d = self._pairs.get(key)
-        if d is None:
-            d = self._pairs[key] = self.t.distances(a, {b}).get(b, len(self.t))
-        return d
-
-
 def mutual_constraint_assignment(
     t: Taxonomy,
     lemmas: Sequence[str],

@@ -41,8 +41,8 @@ from .evaluation import (
     EvalReport,
     Level,
     Population,
-    format_pct,
     merge_reports,
+    rate_table,
     report_block,
     report_tsv,
     score,
@@ -305,13 +305,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    lines = ["window\tcoverage\tprecision\trecall"]
-    for window, report in _reports(args):
-        lines.append(
-            f"{window}\t{format_pct(report.coverage)}\t{format_pct(report.precision)}"
-            f"\t{format_pct(report.recall)}"
-        )
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args, rate_table("window", _reports(args)))
     return EXIT_OK
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .corpus import SenseKey
 from .disambiguator import Assignment, Outcome
@@ -159,23 +159,28 @@ def merge_reports(reports: Sequence[EvalReport]) -> EvalReport:
     )
 
 
-COMPARE_HEADER = "system\tcoverage\tprecision\trecall"
+def rate_table(label: str, rows: Iterable[tuple[object, EvalReport]]) -> str:
+    """Tab-separated coverage, precision and recall, one row per (label, report).
 
-
-def compare(reports: Sequence[EvalReport]) -> str:
-    """Tab-separated comparison table, one row per system.
-
-    All reports must share level and population.  Percentages carry one
-    decimal, rounded half-up.
+    The first column is headed ``label``.  Percentages carry one decimal,
+    rounded half-up.
     """
-    _require_same_scale(reports)
-    lines = [COMPARE_HEADER]
-    for r in reports:
+    lines = [f"{label}\tcoverage\tprecision\trecall"]
+    for name, r in rows:
         lines.append(
-            f"{r.system}\t{format_pct(r.coverage)}"
+            f"{name}\t{format_pct(r.coverage)}"
             f"\t{format_pct(r.precision)}\t{format_pct(r.recall)}"
         )
     return "\n".join(lines) + "\n"
+
+
+def compare(reports: Sequence[EvalReport]) -> str:
+    """``rate_table`` with one row per system.
+
+    All reports must share level and population.
+    """
+    _require_same_scale(reports)
+    return rate_table("system", ((r.system, r) for r in reports))
 
 
 def _report_fields(report: EvalReport) -> list[tuple[str, str]]:

@@ -8,12 +8,13 @@ The taxonomy is a DAG of synsets connected by hypernym (is-a) edges and,
 optionally, meronym (whole-part) edges.  Hypernym edges must be acyclic;
 once meronym edges are folded in as additional parent->child links the
 combined graph may contain cycles, so every traversal here uses a visited
-set.  One pass per load peels the downward graph of the relation mode
-from its leaves and gives every peeled concept its height.  The concepts
-left unpeeled can reach a cycle: a hypernym cycle among them is rejected,
-and their heights come from an exhaustive simple-path search when first
-asked, which walks only them, adds the height of each peeled child it
-meets, and raises TaxonomyError once it has spent its step budget.  At
+set.  Height is the longest downward path through the condensation of
+the downward graph, where a strongly connected component of k synsets
+spans k - 1 edges; it is the plain longest path wherever no cycle can be
+reached.  One pass per load peels the downward graph of the relation mode
+from its leaves and gives every peeled concept its height.  Over the
+concepts left unpeeled, which can reach a cycle, one linear component pass
+rejects a hypernym cycle and a second gives them their heights.  At
 load the synsets are numbered in ascending id order, so integer order is
 string order, and every traversal runs over int adjacency tuples; the
 public API takes and returns string ids.  A loaded Taxonomy is immutable;
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import IO, AbstractSet, Iterable, Iterator, Sequence
+from typing import IO, AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 
 class RelationMode(enum.Enum):
@@ -76,7 +77,8 @@ class SubhierarchyMetrics:
     """Size, height and mean branching of the subhierarchy rooted at a concept.
 
     ``descendants`` counts distinct synsets reachable downward, including the
-    concept itself.  ``height`` is the longest downward path in edges.
+    concept itself.  ``height`` is the longest downward path in edges, through
+    the condensation where a cycle can be reached (see the module docstring).
     ``local_nhyp`` is the non-negative root of sum(x**i for i in 0..height)
     == descendants, i.e. the branching factor a uniform tree of this height
     and size would have; by convention it is 0 for leaves.
@@ -87,9 +89,6 @@ class SubhierarchyMetrics:
     height: int
     local_nhyp: float
 
-
-#: Simple-path extensions one height search may make before it gives up.
-HEIGHT_SEARCH_STEPS = 1_000_000
 
 #: Residual tolerance the nhyp root solve must meet.
 NHYP_TOLERANCE = 1e-9
@@ -143,6 +142,47 @@ def _reach(starts: Iterable[int], adjacency: Sequence[Sequence[int]]) -> set[int
                 seen.add(nxt)
                 frontier.append(nxt)
     return seen
+
+
+def _components(nodes: Iterable[int], adjacency: Mapping[int, Sequence[int]]) -> list[list[int]]:
+    """Strongly connected components of ``adjacency`` over ``nodes``, sinks first.
+
+    Tarjan's algorithm, iterative; every edge must end at one of ``nodes``.
+    A component comes after every other component it has an edge to.
+    """
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}  # the nodes on ``stack`` only
+    stack: list[int] = []
+    components: list[list[int]] = []
+    for root in nodes:
+        if root in index:
+            continue
+        work = [(root, iter(adjacency[root]))]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        while work:
+            node, edges = work[-1]
+            for nxt in edges:
+                if nxt not in index:
+                    work.append((nxt, iter(adjacency[nxt])))
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    break
+                if nxt in low:
+                    low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = [stack.pop()]
+                    while component[-1] != node:
+                        component.append(stack.pop())
+                    for member in component:
+                        del low[member]
+                    components.append(component)
+    return components
 
 
 class Taxonomy:
@@ -199,8 +239,8 @@ class Taxonomy:
         # Peel sinks (Kahn's algorithm, from the leaves): a node is removed
         # once all its children are, and its height is final then.  The loop
         # also visits the parents it appends.  A node never removed can reach
-        # a downward cycle; its height is left unset (-1) for the exhaustive
-        # search of _height_of.
+        # a downward cycle; its height so far is the longest path through a
+        # peeled child.
         heights = self._heights = [0] * len(self._ids)
         left = [len(kids) for kids in self._down]
         peeled = [node for node, count in enumerate(left) if not count]
@@ -212,25 +252,33 @@ class Taxonomy:
                 left[parent] -= 1
                 if not left[parent]:
                     peeled.append(parent)
-        unpeeled = [node for node, count in enumerate(left) if count]
-        for node in unpeeled:
-            heights[node] = -1
 
         # A hypernym cycle is a downward cycle, so its nodes are unpeeled.
-        # Among the unpeeled nodes, the lowest that reaches itself upward
-        # along hypernym edges is the lowest on a hypernym cycle.  Each
-        # upward reach holds only hypernym ancestors, so it stays small.
-        hyper_up: list[Sequence[int]] = [()] * len(self._ids)
-        for node in unpeeled:
-            hypernyms = (num[p] for p in self.synsets[self._ids[node]].hypernym_ids)
-            hyper_up[node] = [p for p in hypernyms if heights[p] < 0]
-        for node in unpeeled:
-            if node in _reach(hyper_up[node], hyper_up):
-                raise TaxonomyError(f"hypernym cycle through {self._ids[node]!r}")
+        # Taken in order of their lowest node, the first cyclic component of
+        # the hypernym edges among them holds the lowest id on a cycle.
+        unpeeled = [node for node, count in enumerate(left) if count]
+        hyper_up = {
+            node: [p for p in map(num.get, self.synsets[self._ids[node]].hypernym_ids) if left[p]]
+            for node in unpeeled
+        }
+        for scc in sorted(map(sorted, _components(unpeeled, hyper_up))):
+            if len(scc) > 1 or scc[0] in hyper_up[scc[0]]:
+                raise TaxonomyError(f"hypernym cycle through {self._ids[scc[0]]!r}")
+
+        # Heights over the condensation, sinks first: a component of k nodes
+        # adds k - 1 to the longest path that leaves it, through a peeled
+        # child or along an edge to a component already done.
+        down = {node: [kid for kid in self._down[node] if left[kid]] for node in unpeeled}
+        for scc in _components(unpeeled, down):
+            inside = set(scc)
+            height = len(scc) - 1 + max(
+                [heights[node] for node in scc]
+                + [heights[kid] + 1 for node in scc for kid in down[node] if kid not in inside]
+            )
+            for node in scc:
+                heights[node] = height
 
         # Memo caches; written at most once per key (identical values if racy).
-        # ``_heights`` is fixed at load; the searched heights of nodes that
-        # can reach a cycle live only in ``_metrics`` and ``_global_nhyp``.
         self._metrics: dict[str, SubhierarchyMetrics] = {}
         self._ancestors: dict[str, frozenset[str]] = {}
         self._global_nhyp: float | None = None
@@ -326,51 +374,6 @@ class Taxonomy:
             frontier = nxt
         return found
 
-    def _height_of(self, node: int) -> int:
-        """Longest simple downward path from ``node``, in edges.
-
-        Every node the load-time peel removed already has its height (all
-        of them in hypernymy-only mode).  Only a node that can reach a
-        relation cycle gets an exhaustive simple-path search here, over the
-        nodes that can reach a cycle: a peeled child cannot reach the path,
-        so its height is added and it is not entered.  The search is
-        exponential in the number of such nodes, so it may extend a path
-        at most HEIGHT_SEARCH_STEPS times and raises TaxonomyError after
-        that.  Its result is not stored in ``_heights``, which it reads as
-        peeled heights only.
-        """
-        down, heights = self._down, self._heights
-        if heights[node] >= 0:
-            return heights[node]
-
-        best = 0
-        steps = HEIGHT_SEARCH_STEPS
-        path: list[int] = [node]
-        path_set = {node}
-        iters = [iter(down[node])]
-        while iters:
-            for child in iters[-1]:
-                if heights[child] >= 0:
-                    best = max(best, len(path) + heights[child])
-                elif child not in path_set:
-                    if not steps:
-                        cyclic = sum(height < 0 for height in heights)
-                        raise TaxonomyError(
-                            f"height search from {self._ids[node]!r} exceeded "
-                            f"{HEIGHT_SEARCH_STEPS} steps; {cyclic} synsets can "
-                            "reach a relation cycle"
-                        )
-                    steps -= 1
-                    path.append(child)
-                    path_set.add(child)
-                    iters.append(iter(down[child]))
-                    best = max(best, len(path) - 1)
-                    break
-            else:
-                iters.pop()
-                path_set.discard(path.pop())
-        return best
-
     def subhierarchy_metrics(self, concept: str) -> SubhierarchyMetrics:
         """Descendant count, height and local nhyp for ``concept`` (memoized)."""
         cached = self._metrics.get(concept)
@@ -378,14 +381,11 @@ class Taxonomy:
             return cached
         node = self._node(concept)
         descendants = len(_reach((node,), self._down))
-        height = self._height_of(node)
-        metrics = SubhierarchyMetrics(
-            concept=concept,
-            descendants=descendants,
-            height=height,
+        height = self._heights[node]
+        metrics = self._metrics[concept] = SubhierarchyMetrics(
+            concept=concept, descendants=descendants, height=height,
             local_nhyp=solve_nhyp(descendants, height),
         )
-        self._metrics[concept] = metrics
         return metrics
 
     def global_nhyp(self) -> float:
@@ -397,7 +397,7 @@ class Taxonomy:
         if self._global_nhyp is None:
             if not self.synsets:
                 raise TaxonomyError("empty taxonomy")
-            max_height = max((self._height_of(self._num[r]) for r in self.roots), default=0)
+            max_height = max((self._heights[self._num[r]] for r in self.roots), default=0)
             self._global_nhyp = solve_nhyp(len(self.synsets), max_height)
         return self._global_nhyp
 

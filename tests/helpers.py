@@ -46,8 +46,8 @@ def random_tif(
     """Random TIF text: acyclic hypernym DAG, forward-only meronym edges.
 
     Forward-only meronyms keep the combined downward graph acyclic, which
-    the fast height path and the recursive brute-force oracle both rely on;
-    cyclic graphs get their own hand-built tests.
+    the recursive ``brute_height`` oracle relies on; cyclic graphs get
+    their own tests.
     """
     n = rng.randint(min_synsets, max_synsets)
     lines = []
@@ -178,6 +178,25 @@ def brute_height(t: Taxonomy, concept: str) -> int:
         return memo[node]
 
     return depth(concept)
+
+
+class DistanceCache:
+    """Capped distances for the brute-force oracles.
+
+    ``capped(a, b)`` is the shortest-path length between two synsets, or the
+    taxonomy size for a disconnected pair, memoized per unordered pair.
+    """
+
+    def __init__(self, t: Taxonomy):
+        self.t = t
+        self._pairs: dict[tuple[str, str], int] = {}
+
+    def capped(self, a: str, b: str) -> int:
+        key = (a, b) if a <= b else (b, a)
+        d = self._pairs.get(key)
+        if d is None:
+            d = self._pairs[key] = self.t.distances(a, {b}).get(b, len(self.t))
+        return d
 
 
 def brute_nhyp(descendants: int, height: int) -> float:

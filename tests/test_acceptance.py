@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdwsd.baselines import (
-    _DistanceCache,
     analytic_random_expectation,
     mutual_constraint_assignment,
     random_baseline,
@@ -47,6 +46,7 @@ from cdwsd.taxonomy import (
 
 from helpers import (
     DATA,
+    DistanceCache,
     brute_score_all,
     build_taxonomy,
     load_data_taxonomy,
@@ -282,7 +282,7 @@ def test_p8_sussna_mutual_constraint_oracle():
             continue
         lemmas = [rng.choice(pool) for _ in range(rng.randint(1, 10))]
         got = mutual_constraint_assignment(t, lemmas, random.Random(seed))
-        cache = _DistanceCache(t)
+        cache = DistanceCache(t)
         best, optima = math.inf, []
         for combo in itertools.product(*[t.senses_of(w) for w in lemmas]):
             cost = sum(

@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 
 from cdwsd.baselines import (
     FrequencyTable,
-    _DistanceCache,
     analytic_random_expectation,
     build_frequency,
     build_salience,
@@ -49,7 +48,7 @@ from cdwsd.disambiguator import Method, NounOccurrence, Outcome
 from cdwsd.evaluation import Level, Population
 from cdwsd.taxonomy import TaxonomyError
 
-from helpers import DATA, build_taxonomy, load_data_taxonomy, random_taxonomy
+from helpers import DATA, DistanceCache, build_taxonomy, load_data_taxonomy, random_taxonomy
 
 SALIENCE_TIF = """\
 S\tr0\tnoun.tops\tthing:0
@@ -400,7 +399,7 @@ class TestSussna:
         rng_impl = random.Random(0)
         got = mutual_constraint_assignment(t, ["w1", "w2", "w3"], rng_impl)
         # oracle: enumerate all 8 combinations with the same tie protocol
-        cache = _DistanceCache(t)
+        cache = DistanceCache(t)
         pools = [t.senses_of(w) for w in ("w1", "w2", "w3")]
         best, optima = math.inf, []
         for combo in itertools.product(*pools):
@@ -471,7 +470,7 @@ class TestSussna:
         if not picked:
             return
         got = mutual_constraint_assignment(t, picked, random.Random(seed))
-        cache = _DistanceCache(t)
+        cache = DistanceCache(t)
         best, optima = math.inf, []
         for combo in itertools.product(*[t.senses_of(w) for w in picked]):
             cost = sum(

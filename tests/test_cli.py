@@ -218,17 +218,22 @@ class TestDisambiguate:
         assert code == EXIT_PARSE
         assert "line 1: lex_id must be a non-negative integer" in capsys.readouterr().err
 
-    def test_height_search_budget_is_parse_error(self, tmp_path, capsys):
+    def test_meronym_clique_runs_and_reruns(self, tmp_path, capsys):
         tif = tmp_path / "clique.tif"
         tif.write_text(meronym_clique_tif(12))
         words = tmp_path / "words.txt"
         words.write_text("part part\n")
-        code, out = run(
-            ["disambiguate", "--taxonomy", str(tif), "--input", str(words),
-             "--format", "plain", "--relations", "hyper+mero"]
+        argv = ["disambiguate", "--taxonomy", str(tif), "--input", str(words),
+                "--format", "plain", "--relations", "hyper+mero"]
+        expected = (
+            EXIT_OK,
+            "position\tlemma\toutcome\tsense_keys\tmethod\tcd\n"
+            "0\tpart\tnone\t-\tdensity\t-\n"
+            "1\tpart\tnone\t-\tdensity\t-\n",
         )
-        assert (code, out) == (EXIT_PARSE, "")
-        assert "height search from 'root' exceeded" in capsys.readouterr().err
+        assert run(argv) == expected
+        assert run(argv) == expected
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("exponent", ["0", "nan"])
     def test_bad_exponent_is_config_error(self, exponent, capsys):

@@ -21,7 +21,6 @@ from cdwsd.disambiguator import (
     disambiguate_window,
 )
 from cdwsd.taxonomy import (
-    HEIGHT_SEARCH_STEPS,
     NHYP_TOLERANCE,
     RelationMode,
     TaxonomyError,
@@ -269,7 +268,8 @@ class TestCyclicMeronymy:
 
     def test_height_is_longest_simple_path(self):
         t = build_taxonomy(self.CYCLE, RelationMode.HYPERNYMY_MERONYMY)
-        # from c: c -> a -> b (cannot revisit c)
+        # {a, b, c} is one component of three, so 2 edges: as long as the
+        # longest simple path c -> a -> b
         assert t.subhierarchy_metrics("c").height == 2
         assert t.subhierarchy_metrics("a").height == 2
 
@@ -310,12 +310,43 @@ def longest_simple_path(down, node, on_path=frozenset()):
     )
 
 
-def assert_metrics_match_oracles(t):
+def condensation(t):
+    """Each concept's component and height over the condensation, by brute force.
+
+    Two concepts share a component when each reaches the other.  A component
+    of k concepts spans k - 1 edges above the longest path that leaves it,
+    found by memoized recursion over the components.
+    """
     down = brute_children(t)
-    heights = {c: longest_simple_path(down, c) for c in t.synsets}
+    reach = {c: brute_reachable(t, c) for c in t.synsets}
+    component = {c: frozenset(d for d in reach[c] if c in reach[d]) for c in t.synsets}
+    memo = {}
+
+    def height(comp):
+        if comp not in memo:
+            memo[comp] = len(comp) - 1 + max(
+                (1 + height(component[kid]) for node in comp for kid in down[node]
+                 if kid not in comp),
+                default=0,
+            )
+        return memo[comp]
+
+    return component, {c: height(component[c]) for c in t.synsets}
+
+
+def assert_metrics_match_oracles(t):
+    """Heights equal the condensation oracle.  They are never below the
+    longest simple path, and equal it for a concept that reaches no cycle."""
+    down = brute_children(t)
+    component, heights = condensation(t)
+    on_cycle = {c for c in t.synsets if len(component[c]) > 1 or c in down[c]}
     for concept in t.synsets:
         m = t.subhierarchy_metrics(concept)
         assert m.height == heights[concept]
+        simple = longest_simple_path(down, concept)
+        assert m.height >= simple
+        if not on_cycle & brute_reachable(t, concept):
+            assert m.height == simple
         assert m.descendants == len(brute_reachable(t, concept))
     big_h = max(heights[r] for r in t.roots) if t.roots else 0
     assert t.global_nhyp() == solve_nhyp(len(t), big_h)
@@ -324,16 +355,35 @@ def assert_metrics_match_oracles(t):
 class TestCycles:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 10**9))
-    def test_heights_match_longest_simple_path(self, seed):
+    def test_heights_match_condensation_oracle(self, seed):
         text, _ = random_edges_tif(random.Random(seed), hypernyms_any_direction=False)
         for mode in RelationMode:
             assert_metrics_match_oracles(build_taxonomy(text, mode))
-            # a fresh taxonomy queried in the other order: no search result
-            # may leak into a later search
+            # a fresh taxonomy queried in the other order: no query may leak
+            # into a later one
             t = build_taxonomy(text, mode)
-            down = brute_children(t)
+            _, heights = condensation(t)
             for concept in sorted(t.synsets, reverse=True):
-                assert t.subhierarchy_metrics(concept).height == longest_simple_path(down, concept)
+                assert t.subhierarchy_metrics(concept).height == heights[concept]
+
+    # b is a hyponym of a, and a is part of b: an H and an M edge close
+    # a 2-cycle between the same pair
+    TWO_CYCLE = CHAIN + "M\tb\ta\n"
+
+    def test_meronym_two_cycle_counts_its_size(self):
+        t = build_taxonomy(self.TWO_CYCLE, RelationMode.HYPERNYMY_MERONYMY)
+        # {a, b} spans one edge above b -> c
+        assert [t.subhierarchy_metrics(c).height for c in "abc"] == [2, 2, 0]
+        assert t.global_nhyp() == solve_nhyp(3, 2)
+        t = build_taxonomy(self.TWO_CYCLE)
+        assert [t.subhierarchy_metrics(c).height for c in "abc"] == [2, 1, 0]
+
+    def test_meronym_self_loop_keeps_height(self):
+        for mode in RelationMode:
+            looped = build_taxonomy(CHAIN + "M\tb\tb\n", mode)
+            plain = build_taxonomy(CHAIN, mode)
+            for concept in "abc":
+                assert looped.subhierarchy_metrics(concept) == plain.subhierarchy_metrics(concept)
 
     def test_ladder_below_a_cycle_is_searched_in_bounded_time(self):
         # root R on a meronym cycle R <-> c, above 24 levels of two nodes,
@@ -347,25 +397,24 @@ class TestCycles:
                 lines.append(f"S\t{node}\tnoun.act\t{node}:0")
                 lines += [f"H\t{node}\t{parent}" for parent in above]
             above = nodes
-        t = build_taxonomy("\n".join(lines) + "\n", RelationMode.HYPERNYMY_MERONYMY)
         start = time.perf_counter()
-        assert t.subhierarchy_metrics("R").height == levels
-        assert t.global_nhyp() == solve_nhyp(len(t), levels + 1)  # from c, through R
+        t = build_taxonomy("\n".join(lines) + "\n", RelationMode.HYPERNYMY_MERONYMY)
+        # {R, c} spans one edge above the 24 levels
+        assert t.subhierarchy_metrics("R").height == levels + 1
+        assert t.subhierarchy_metrics("c").height == levels + 1
+        assert t.global_nhyp() == solve_nhyp(len(t), levels + 1)
         assert time.perf_counter() - start < 2.0
 
-    def test_meronym_clique_exhausts_the_search_budget(self):
-        # about 10**8 simple paths from the root: the search must give up
-        # after its budget, not hang
+    def test_meronym_clique_in_bounded_time(self):
+        # about 10**8 simple paths from the root; the 12 parts form one
+        # component, which spans 11 edges below the root's one
         text = meronym_clique_tif(12)
-        t = build_taxonomy(text, RelationMode.HYPERNYMY_MERONYMY)
         start = time.perf_counter()
-        with pytest.raises(
-            TaxonomyError,
-            match=f"^height search from 'root' exceeded {HEIGHT_SEARCH_STEPS} steps; "
-            "13 synsets can reach a relation cycle$",
-        ):
-            t.global_nhyp()
-        assert time.perf_counter() - start < 10.0
+        t = build_taxonomy(text, RelationMode.HYPERNYMY_MERONYMY)
+        assert t.subhierarchy_metrics("root").height == 12
+        assert t.subhierarchy_metrics("p05").height == 11
+        assert t.global_nhyp() == solve_nhyp(13, 12)
+        assert time.perf_counter() - start < 2.0
         assert build_taxonomy(text).global_nhyp() == solve_nhyp(13, 1)  # no cycle
 
     @settings(max_examples=150, deadline=None)
@@ -485,6 +534,7 @@ class TestIdOrder:
         [
             pytest.param(FLAT + "H\tb9\té1\nH\té1\tb10\nH\tb10\tb9\n", "b10", id="three-cycle"),
             pytest.param(BETWEEN_CYCLES, "b1", id="between-cycles"),
+            pytest.param(CHAIN + "H\tb\tb\n", "b", id="self-loop"),
         ],
     )
     def test_cycle_names_lowest_id(self, cycle, lowest):
