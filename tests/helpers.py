@@ -86,6 +86,55 @@ def meronym_clique_tif(size: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def distance_edge_cases_tif() -> str:
+    """One TIF holding each shape the distance search must get right.
+
+    * a 4-cycle ``r``-``c1``-``x``-``c2`` with the chain ``k01``..``k12``
+      hanging below ``x``, and two sibling trees (``t1``, ``t2``)
+      hanging below ``c1``;
+    * a meronym 2-cycle: ``m2`` is a hyponym of ``m1`` and also its whole,
+      so under ``hyper+mero`` they are joined by two edges; ``m1`` lies on
+      the cycle ``r``-``c1``-``m1``-``c2`` and ``m3`` hangs below it;
+    * a self-loop ``M s s``, with ``s1`` hanging below ``s``;
+    * a second component around the triangle ``v0``-``v1``-``v2``;
+    * a tree under ``u0``, which under ``hyper+mero`` hangs off that
+      triangle (``v3`` is the whole of ``u3``) and under ``hyper`` is a
+      component of its own;
+    * the isolated synset ``z``.
+
+    The lemmas ``alpha``, ``beta``, ``gamma`` and ``delta`` each name
+    senses in several of these places (lex_ids in the order listed);
+    ``apex``, ``hub`` and ``tail`` are monosemous, on ``r``, ``c1`` and
+    ``k12``.  Every other synset's lemma is its id.
+    """
+    chain_ids = [f"k{i:02d}" for i in range(1, 13)]
+    edges = [("c1", "r"), ("c2", "r"), ("x", "c1"), ("x", "c2")]
+    edges += zip(chain_ids, ["x"] + chain_ids)
+    edges += [("t1", "c1"), ("t11", "t1"), ("t12", "t1"),
+              ("t2", "c1"), ("t21", "t2"), ("t22", "t21")]
+    edges += [("m1", "c1"), ("m1", "c2"), ("m2", "m1"), ("m3", "m1"), ("s", "c2"), ("s1", "s")]
+    edges += [("v1", "v0"), ("v2", "v0"), ("v2", "v1"), ("v3", "v2")]
+    edges += [("u1", "u0"), ("u2", "u0"), ("u3", "u1")]
+    senses = {
+        "alpha": ["k03", "t11", "u1", "z", "v1"],
+        "beta": ["k10", "t21", "m2", "s1", "u3"],
+        "gamma": ["c2", "t12", "u2", "k06", "m3"],
+        "delta": ["m1", "x", "u0", "s", "v2"],
+        "apex": ["r"],
+        "hub": ["c1"],
+        "tail": ["k12"],
+    }
+    lemmas: dict[str, list[str]] = {}
+    for lemma, ids in senses.items():
+        for lex_id, sid in enumerate(ids):
+            lemmas.setdefault(sid, []).append(f"{lemma}:{lex_id}")
+    ids = sorted({sid for edge in edges for sid in edge} | {"z"})
+    lines = [f"S\t{sid}\tnoun.act\t{','.join(lemmas.get(sid, [f'{sid}:0']))}" for sid in ids]
+    lines += [f"H\t{child}\t{parent}" for child, parent in edges]
+    lines += ["M\tm2\tm1", "M\ts\ts", "M\tv3\tu3"]
+    return "\n".join(lines) + "\n"
+
+
 def random_taxonomy(
     rng: random.Random,
     max_synsets: int = 200,

@@ -7,7 +7,7 @@ import pytest
 from cdwsd import cli
 from cdwsd.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, main
 
-from helpers import DATA, meronym_clique_tif
+from helpers import DATA, distance_edge_cases_tif, meronym_clique_tif
 
 
 def run(argv):
@@ -672,3 +672,18 @@ class TestCyclicMeronymyFixture:
         code, out = run(argv[:1] + self.COMMON + argv[1:])
         assert code == EXIT_OK
         assert out == (DATA / golden).read_text(encoding="utf-8")
+
+
+class TestDistanceEdgeCasesFixture:
+    """Sussna goldens on ``distance_edge_cases_tif``: chains and trees hanging
+    off cycles, a meronym 2-cycle, a self-loop and several components."""
+
+    @pytest.mark.parametrize("relations, golden", [("hyper", "hyper"), ("hyper+mero", "mero")])
+    def test_golden_output(self, tmp_path, relations, golden):
+        tif = tmp_path / "cases.tif"
+        tif.write_text(distance_edge_cases_tif(), encoding="utf-8")
+        argv = ["disambiguate", "--taxonomy", str(tif),
+                "--input", str(DATA / "distance_cases.txt"), "--format", "plain",
+                "--relations", relations, "--baseline", "sussna", "--window", "41"]
+        expected = (DATA / f"distance_cases.sussna.{golden}.tsv").read_text(encoding="utf-8")
+        assert run(argv) == (EXIT_OK, expected)
