@@ -17,10 +17,13 @@ concepts left unpeeled, which can reach a cycle, one linear component pass
 rejects a hypernym cycle and a second gives them their heights.  At
 load the synsets are numbered in ascending id order, so integer order is
 string order, and every traversal runs over int adjacency tuples; the
-public API takes and returns string ids.  A loaded Taxonomy is immutable;
-metric queries and the either-direction adjacency of the distance search
-are built on first use with single-assignment semantics, and are safe to
-share across threads.
+public API takes and returns string ids.  The distance search follows
+edges in either direction.  That graph is nearly a tree, so its first
+call peels the trees that hang off the graph's 2-core (Seidman 1983) and
+later calls search only the core (the core-fringe split of Akiba, Sommer
+and Kawarabayashi 2012, with trees as the fringe).  A loaded Taxonomy is
+immutable; metric queries and the peel are built on first use with
+single-assignment semantics, and are safe to share across threads.
 
 Input format (TIF, "taxonomy interchange format"): line-oriented UTF-8,
 tab-separated, ``#`` starts a comment line.
@@ -185,6 +188,51 @@ def _components(nodes: Iterable[int], adjacency: Mapping[int, Sequence[int]]) ->
     return components
 
 
+#: ``_core_and_fringe``'s result: link, anchor, depth and core adjacency,
+#: each indexed by node number.
+_CoreAndFringe = tuple[list[int], list[int], list[int], list[tuple[int, ...]]]
+
+
+def _core_and_fringe(down: Sequence[Sequence[int]], up: Sequence[Sequence[int]]) -> _CoreAndFringe:
+    """The 2-core of the either-direction multigraph and the trees hanging off it.
+
+    Nodes of degree at most one are peeled until none is left (Seidman
+    1983); degree counts edges with multiplicity, so a node joined to one
+    neighbour by two edges (a hypernym and a meronym edge between one
+    pair) or carrying a self-loop keeps degree two and stays in the core.
+    A peeled node links to its one neighbour left when it was peeled, which
+    is nearer the core; its anchor is the core node its links end at, and
+    its hang depth the number of links to there.  A component with no
+    cycle peels away whole; its last node links to itself and anchors it.
+    Core nodes are their own anchors at depth 0, and only they have
+    adjacency, to their core neighbours.
+    """
+    degree = [len(kids) + len(parents) for kids, parents in zip(down, up)]
+    link = list(range(len(degree)))
+    removed = bytearray(len(degree))
+    order = [node for node, count in enumerate(degree) if count <= 1]
+    for node in order:
+        removed[node] = 1
+        for neigh in down[node] + up[node]:  # at most one is left
+            if not removed[neigh]:
+                link[node] = neigh
+                degree[neigh] -= 1
+                if degree[neigh] == 1:
+                    order.append(neigh)
+    anchor = list(link)
+    depth = [0] * len(degree)
+    for node in reversed(order):  # nearer the core first
+        nearer = link[node]
+        if nearer != node:
+            anchor[node] = anchor[nearer]
+            depth[node] = depth[nearer] + 1
+    adjacency: list[tuple[int, ...]] = [()] * len(degree)
+    for node, gone in enumerate(removed):
+        if not gone:
+            adjacency[node] = tuple(n for n in down[node] + up[node] if not removed[n])
+    return link, anchor, depth, adjacency
+
+
 class Taxonomy:
     """Immutable noun taxonomy with memoized metric queries.
 
@@ -233,8 +281,9 @@ class Taxonomy:
         self._down = [_sorted_unique(kids) for kids in down]
         self._up = [_sorted_unique(parents) for parents in up]
         del down, up  # free the lists before the peel, where loading peaks
-        # Either-direction adjacency, built by the first ``distances`` call.
-        self._either: list[tuple[int, ...]] | None = None
+        # The 2-core and the trees hanging off it, built by the first
+        # ``distances`` call (see ``_core_and_fringe``).
+        self._core: _CoreAndFringe | None = None
 
         # Peel sinks (Kahn's algorithm, from the leaves): a node is removed
         # once all its children are, and its height is final then.  The loop
@@ -344,33 +393,55 @@ class Taxonomy:
         """Shortest-path lengths from ``source`` to each of ``targets``.
 
         Edges count 1 and are followed in either direction, under the
-        relation mode.  The breadth-first search stops once every target is
-        found; targets in another component are absent from the result.
+        relation mode; targets in another component are absent from the
+        result.  The first call peels the trees that hang off the graph's
+        2-core (see ``_core_and_fringe``).  A target with the source's
+        anchor is at their tree distance.  Every other target is at the
+        source's hang depth, plus the core distance between the two
+        anchors, plus its own hang depth; one breadth-first search over
+        the core, from the source's anchor, stops once every such anchor
+        is found.  This is exact because a hanging tree meets the rest of
+        the graph only at its anchor, so no shortest path leaves the core
+        and comes back.
         """
         start = self._node(source)
-        remaining = {self._node(target) for target in targets}
-        ids, either = self._ids, self._either
-        if either is None:
-            either = self._either = [d + u for d, u in zip(self._down, self._up)]
+        wanted = {self._node(target) for target in targets}
+        core = self._core
+        if core is None:
+            core = self._core = _core_and_fringe(self._down, self._up)
+        link, anchor, depth, adjacency = core
+        ids = self._ids
+        home = anchor[start]
         found: dict[str, int] = {}
-        if start in remaining:
-            found[source] = 0
-            remaining.discard(start)
+        away: dict[int, list[int]] = {}  # anchor -> the targets hanging off it
+        for node in wanted:
+            if anchor[node] != home:
+                away.setdefault(anchor[node], []).append(node)
+                continue
+            # Lift the deeper end to the other's depth, then both to where
+            # they meet; the anchor itself is the highest meeting point.
+            a, b = start, node
+            while depth[a] > depth[b]:
+                a = link[a]
+            while depth[b] > depth[a]:
+                b = link[b]
+            while a != b:
+                a, b = link[a], link[b]
+            found[ids[node]] = depth[start] + depth[node] - 2 * depth[a]
         seen = bytearray(len(ids))
-        seen[start] = 1
-        frontier = [start]
-        d = 0
-        while frontier and remaining:
+        seen[home] = 1
+        frontier = [home]
+        d = depth[start]
+        while frontier and away:
             d += 1
             nxt = []
             for node in frontier:
-                for neigh in either[node]:
+                for neigh in adjacency[node]:
                     if not seen[neigh]:
                         seen[neigh] = 1
                         nxt.append(neigh)
-                        if neigh in remaining:
-                            found[ids[neigh]] = d
-                            remaining.discard(neigh)
+                        for target in away.pop(neigh, ()):
+                            found[ids[target]] = d + depth[target]
             frontier = nxt
         return found
 

@@ -1,5 +1,6 @@
 import io
 import random
+import sys
 import time
 
 import pytest
@@ -34,6 +35,7 @@ from helpers import (
     brute_height,
     brute_reachable,
     build_taxonomy,
+    distance_edge_cases_tif,
     load_data_taxonomy,
     meronym_clique_tif,
     random_taxonomy,
@@ -502,6 +504,188 @@ class TestGraphQueries:
         t = build_taxonomy(CHAIN + "S\tz\tnoun.act\tloner:0\n")
         assert t.distances("c", {"a", "z"}) == {"a": 2}
         assert t.distances("z", {"a", "b", "c"}) == {}
+
+
+def hanging_trees_tif(rng):
+    """One to three components, each a small core of cycles with trees
+    hanging off it, and up to two isolated synsets.
+
+    A component starts from a skeleton of up to six synsets, each but the
+    first a hyponym of an earlier one, plus up to three more such edges,
+    which close cycles.  Trees then grow from it one synset at a time, each
+    new synset a hyponym or a hypernym of one synset already there; some
+    grow as long chains.  A new synset has one edge, so under ``hyper`` the
+    trees close no cycle.  Meronym edges then add 2-cycles over hypernym
+    edges, self-loops and links between any two synsets, so under
+    ``hyper+mero`` a tree may join the core or two components merge.
+
+    Returns the text and the trees grown from each skeleton synset, as
+    lists of ids; queries draw their sources and targets from them.
+    """
+    ids, hyper, trees = [], [], {}
+    tree_of = {}  # grown synset -> its tree
+
+    def new():
+        ids.append(f"n{len(ids):03d}")
+        return ids[-1]
+
+    for _ in range(rng.randint(1, 3)):
+        skeleton = [new()]
+        for _ in range(rng.randint(0, 5)):
+            hyper.append((new(), rng.choice(skeleton)))
+            skeleton.append(hyper[-1][0])
+        for _ in range(rng.randint(0, 3) if len(skeleton) > 1 else 0):
+            hyper.append(tuple(sorted(rng.sample(skeleton, 2), reverse=True)))
+        for root in skeleton:
+            trees[root] = []
+        grown = list(skeleton)
+        for _ in range(rng.randint(0, 6)):
+            at = rng.choice(grown)
+            for _ in range(rng.choice([1, 1, 2, 3, 10])):
+                node = new()
+                hyper.append((node, at) if rng.random() < 0.8 else (at, node))
+                if at in trees:
+                    trees[at].append([])
+                    tree_of[node] = trees[at][-1]
+                else:
+                    tree_of[node] = tree_of[at]
+                tree_of[node].append(node)
+                grown.append(node)
+                at = node
+    for _ in range(rng.randint(0, 2)):
+        new()
+    mero = rng.sample(hyper, min(len(hyper), rng.randint(0, 2)))  # the child is the whole
+    mero += [(node, node) for node in rng.sample(ids, rng.randint(0, 2))]
+    mero += [tuple(rng.sample(ids, 2)) for _ in range(rng.randint(0, 2)) if len(ids) > 1]
+    lines = [f"S\t{sid}\tnoun.act\t{sid}:0" for sid in ids]
+    lines += [f"H\t{child}\t{parent}" for child, parent in hyper]
+    lines += [f"M\t{whole}\t{part}" for whole, part in mero]
+    return "\n".join(lines) + "\n", trees
+
+
+def brute_either(t):
+    down = brute_children(t)
+    either = {sid: set(kids) for sid, kids in down.items()}
+    for node, kids in down.items():
+        for kid in kids:
+            either[kid].add(node)
+    return either
+
+
+def anchors(t):
+    """Each synset's anchor: itself in the core, else the core synset its
+    hanging tree meets (read from the private peel)."""
+    t.distances(next(iter(t.synsets)), set())
+    anchor = t._core[1]
+    return {sid: t._ids[anchor[t._num[sid]]] for sid in t.synsets}
+
+
+class TestCoreAndFringe:
+    """``distances`` over the 2-core and the trees that hang off it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10**9))
+    def test_hanging_trees_match_brute_bfs(self, seed):
+        rng = random.Random(seed)
+        text, trees = hanging_trees_tif(rng)
+        for mode in RelationMode:
+            t = build_taxonomy(text, mode)
+            either = brute_either(t)
+            ids = sorted(t.synsets)
+            for root, grown in trees.items():
+                for tree in grown:
+                    siblings = [node for other in grown if other is not tree for node in other]
+                    s = rng.choice(tree)
+                    dist = brute_bfs(either, s)
+                    for wanted in (
+                        set(rng.sample(tree, rng.randint(1, len(tree)))),  # same tree
+                        set(siblings),  # sibling trees of one skeleton synset
+                        set(rng.sample(ids, rng.randint(0, len(ids)))),  # anywhere
+                        {root, s},
+                    ):
+                        assert t.distances(s, wanted) == {x: dist[x] for x in wanted if x in dist}
+            for s in ids:
+                dist = brute_bfs(either, s)
+                assert t.distances(s, set(ids)) == dist
+
+    @pytest.fixture(params=list(RelationMode), ids=lambda mode: mode.value)
+    def cases(self, request):
+        return build_taxonomy(distance_edge_cases_tif(), request.param)
+
+    def test_edge_cases_match_brute_bfs(self, cases):
+        either = brute_either(cases)
+        for s in cases.synsets:
+            dist = brute_bfs(either, s)
+            assert cases.distances(s, set(cases.synsets)) == dist
+            for target in cases.synsets:
+                assert cases.distances(s, {target}) == {x: dist[x] for x in {target} & dist.keys()}
+
+    def test_meronym_two_cycle(self):
+        # m2 is a hyponym of m1 and its whole: two edges to one neighbour
+        t = build_taxonomy(distance_edge_cases_tif(), RelationMode.HYPERNYMY_MERONYMY)
+        assert anchors(t)["m2"] == "m2" and anchors(t)["m3"] == "m1"
+        assert t.distances("m2", {"m1", "m3", "c1", "c2", "r"}) == {
+            "m1": 1, "m3": 2, "c1": 2, "c2": 2, "r": 3,
+        }
+        hyper = build_taxonomy(distance_edge_cases_tif())
+        assert anchors(hyper)["m2"] == "m1"
+        assert hyper.distances("m2", {"m3", "c1", "k01"}) == {"m3": 2, "c1": 2, "k01": 4}
+
+    def test_self_loop(self):
+        t = build_taxonomy(distance_edge_cases_tif(), RelationMode.HYPERNYMY_MERONYMY)
+        assert anchors(t)["s"] == "s" and anchors(t)["s1"] == "s"
+        assert t.distances("s1", {"s", "c2", "r", "m2"}) == {"s": 1, "c2": 2, "r": 3, "m2": 4}
+        assert anchors(build_taxonomy(distance_edge_cases_tif()))["s1"] == "c2"
+
+    def test_isolated_synset_is_its_own_anchor(self, cases):
+        assert anchors(cases)["z"] == "z"
+        assert cases.distances("z", set(cases.synsets)) == {"z": 0}
+        assert cases.distances("r", {"z", "c1"}) == {"c1": 1}
+
+    def test_all_tree_component(self):
+        t = build_taxonomy(distance_edge_cases_tif())
+        tree = {"u0", "u1", "u2", "u3"}
+        assert len({anchors(t)[node] for node in tree}) == 1
+        assert t.distances("u3", tree | {"r", "v3"}) == {"u0": 2, "u1": 1, "u2": 3, "u3": 0}
+        assert t.distances("v3", tree) == {}
+        # under hyper+mero v3 is the whole of u3, and the tree hangs off v2
+        mero = build_taxonomy(distance_edge_cases_tif(), RelationMode.HYPERNYMY_MERONYMY)
+        assert {anchors(mero)[node] for node in tree | {"v3"}} == {"v2"}
+        assert mero.distances("u2", {"v0", "v1", "u3"}) == {"v0": 6, "v1": 6, "u3": 3}
+
+    def test_long_chain_off_a_cycle(self, cases):
+        assert anchors(cases)["k12"] == "x"
+        assert cases.distances("k12", {"k03", "x", "r", "t22", "m3"}) == {
+            "k03": 9, "x": 12, "r": 14, "t22": 16, "m3": 15,
+        }
+        # sibling trees of c1 meet at their anchor
+        assert cases.distances("t11", {"t12", "t22", "c1"}) == {"t12": 2, "t22": 5, "c1": 2}
+
+    def test_first_calls_from_many_threads_agree(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        text = distance_edge_cases_tif()
+        mode = RelationMode.HYPERNYMY_MERONYMY
+        reference = build_taxonomy(text, mode)
+        everyone = set(reference.synsets)
+        sources = sorted(everyone) * 4
+        expected = [reference.distances(s, everyone) for s in sources]
+        t = build_taxonomy(text, mode)  # every thread may be the one to peel
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                found = list(pool.map(lambda s: t.distances(s, everyone), sources, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert found == expected
+
+    def test_source_among_its_own_targets(self, cases):
+        either = brute_either(cases)
+        for s in ("r", "k12", "m2", "s1", "u0", "z"):
+            dist = brute_bfs(either, s)
+            assert cases.distances(s, {s, "c2"}) == {x: dist[x] for x in {s, "c2"} & dist.keys()}
+            assert cases.distances(s, {s}) == {s: 0}
 
 
 class TestIdOrder:
