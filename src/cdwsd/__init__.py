@@ -6,7 +6,6 @@ from .baselines import (
     analytic_random_expectation,
     build_frequency,
     build_salience,
-    conceptual_distance,
     most_frequent_baseline,
     mutual_constraint_assignment,
     random_baseline,

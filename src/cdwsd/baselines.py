@@ -12,13 +12,13 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .corpus import CorpusError, ExtractedNouns, SenseKey
+from .corpus import ExtractedNouns, SenseKey
 from .density import ConfigError
 from .disambiguator import Assignment, Method, NounOccurrence, Outcome, build_window
 from .evaluation import Level, Population
-from .taxonomy import Taxonomy, read_lines
+from .taxonomy import Taxonomy
 
 
 # -- random guessing ---------------------------------------------------------
@@ -161,7 +161,6 @@ class SalienceTable:
     """Association ratios between context lemmas and lexicographer files."""
 
     salience: dict[tuple[str, str], float] = field(default_factory=dict)
-    priors: dict[str, float] = field(default_factory=dict)
 
 
 def build_salience(
@@ -179,22 +178,20 @@ def build_salience(
     pair_counts: Counter[tuple[str, str]] = Counter()
     word_counts: Counter[str] = Counter()
     cat_counts: Counter[str] = Counter()
-    target_cats: Counter[str] = Counter()
+    target_cats: set[str] = set()
     for doc in train:
         nouns = doc.occurrences
         for i, key in enumerate(doc.gold):
             if key is None:
                 continue
             cat = key.lexfile
-            target_cats[cat] += 1
+            target_cats.add(cat)
             for lemma in _context(nouns, i, window_size):
                 pair_counts[(lemma, cat)] += 1
                 word_counts[lemma] += 1
                 cat_counts[cat] += 1
 
     table = SalienceTable()
-    targets = sum(target_cats.values())
-    table.priors = {cat: target_cats[cat] / targets for cat in target_cats}
     vocab = sorted(word_counts)
     total = sum(word_counts.values())
     if total == 0:
@@ -242,15 +239,6 @@ def yarowsky_baseline(
 # -- conceptual distance -----------------------------------------------------
 
 
-def conceptual_distance(t: Taxonomy, a: str, b: str) -> float:
-    """Shortest-path length between two synsets, edges undirected, weight 1.
-
-    Uses whatever relations the taxonomy was loaded with.  Synsets in
-    different components are at ``math.inf``.
-    """
-    return t.distances(a, {b}).get(b, math.inf)
-
-
 def mutual_constraint_assignment(
     t: Taxonomy,
     lemmas: Sequence[str],
@@ -267,9 +255,11 @@ def mutual_constraint_assignment(
     if not pools:
         return ()
 
-    # One search per distinct sense, towards every sense in the pools.
+    # One search per distinct sense of every pool but the last, towards every
+    # pool sense: extend reads a row only for a sense chosen before the last.
     pool_senses = {s for pool in pools for s in pool}
-    rows = {s: t.distances(s, pool_senses) for s in sorted(pool_senses)}
+    sources = {s for pool in pools[:-1] for s in pool}
+    rows = {s: t.distances(s, pool_senses) for s in sorted(sources)}
     cap = len(t)  # disconnected pairs contribute the node count
 
     best = math.inf
@@ -351,58 +341,3 @@ def sussna_baseline(
         Assignment(occ, Outcome.FULL, (sense,), Method.SUSSNA)
         for occ, sense in zip(nouns, chosen)
     ]
-
-
-# -- table (de)serialisation -------------------------------------------------
-
-_PRIOR_MARKER = "__prior__"
-
-
-def save_frequency_table(table: FrequencyTable, out: IO) -> None:
-    """``lemma<TAB>synset_id<TAB>count`` rows, sorted."""
-    for (lemma, synset), count in sorted(table.counts.items()):
-        out.write(f"{lemma}\t{synset}\t{count}\n")
-
-
-def _read_table(stream: IO, number: Callable[[str], float]) -> Iterator[tuple[str, str, float]]:
-    """``(key, key, number)`` per non-blank row of a saved table, bytes or text.
-
-    Raises CorpusError with the line number for a row that does not hold
-    three tab-separated fields or whose last field ``number`` rejects.
-    """
-    for lineno, line in read_lines(stream):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise CorpusError("expected 3 tab-separated fields", lineno)
-        try:
-            value = number(fields[2])
-        except ValueError:
-            raise CorpusError(f"bad number {fields[2]!r}", lineno) from None
-        yield fields[0], fields[1], value
-
-
-def load_frequency_table(stream: IO) -> FrequencyTable:
-    table = FrequencyTable()
-    for lemma, synset, count in _read_table(stream, int):
-        table.counts[(lemma, synset)] = count
-    return table
-
-
-def save_salience_table(table: SalienceTable, out: IO) -> None:
-    """``lemma<TAB>category<TAB>value`` rows; priors use a reserved lemma."""
-    for cat, prior in sorted(table.priors.items()):
-        out.write(f"{_PRIOR_MARKER}\t{cat}\t{prior!r}\n")
-    for (lemma, cat), value in sorted(table.salience.items()):
-        out.write(f"{lemma}\t{cat}\t{value!r}\n")
-
-
-def load_salience_table(stream: IO) -> SalienceTable:
-    table = SalienceTable()
-    for lemma, cat, value in _read_table(stream, float):
-        if lemma == _PRIOR_MARKER:
-            table.priors[cat] = value
-        else:
-            table.salience[(lemma, cat)] = value
-    return table

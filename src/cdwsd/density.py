@@ -68,8 +68,8 @@ class DensityParams:
 class DensityScore:
     """Density of one candidate concept over the current window state.
 
-    ``covered`` maps window occurrence index -> the subset of that
-    occurrence's remaining senses lying under the concept.  ``marks`` counts
+    ``covered`` maps window occurrence index -> the non-empty subset of
+    that occurrence's remaining senses lying under the concept.  ``marks`` counts
     (lemma, sense) pairs under the concept when lemma-deduplication is on,
     else (occurrence, sense) pairs; either way every covered word
     contributes at least one mark.  ``resolvable`` says selecting this
@@ -81,10 +81,6 @@ class DensityScore:
     marks: int
     covered: Mapping[int, frozenset[str]]
     resolvable: bool
-
-    @property
-    def covered_words(self) -> frozenset[int]:
-        return frozenset(i for i, senses in self.covered.items() if senses)
 
 
 @lru_cache(maxsize=1 << 16)

@@ -18,7 +18,6 @@ With add-one smoothing P(w|cat) = (c+1)/12 and P(w) = c(w)/12:
     sal(nail, A) = -1/12               sal(nail, B) = (3/12) log2(1.5)
 """
 
-import io
 import itertools
 import math
 import random
@@ -32,18 +31,13 @@ from cdwsd.baselines import (
     analytic_random_expectation,
     build_frequency,
     build_salience,
-    conceptual_distance,
-    load_frequency_table,
-    load_salience_table,
     most_frequent_baseline,
     mutual_constraint_assignment,
     random_baseline,
-    save_frequency_table,
-    save_salience_table,
     sussna_baseline,
     yarowsky_baseline,
 )
-from cdwsd.corpus import CorpusError, SenseKey, extract_nouns, parse_semcor
+from cdwsd.corpus import SenseKey, extract_nouns, parse_semcor
 from cdwsd.disambiguator import Method, NounOccurrence, Outcome
 from cdwsd.evaluation import Level, Population
 from cdwsd.taxonomy import TaxonomyError
@@ -211,12 +205,6 @@ class TestMostFrequent:
         with pytest.raises(ValueError, match="training"):
             build_frequency(clusters, [train_extracted(clusters, [])])
 
-    def test_table_roundtrip(self, clusters):
-        table = FrequencyTable({("bass", "a02"): 2, ("trout", "a03"): 7})
-        buf = io.StringIO()
-        save_frequency_table(table, buf)
-        assert load_frequency_table(io.StringIO(buf.getvalue())).counts == table.counts
-
 
 class TestSalience:
     TRAIN = [
@@ -244,7 +232,6 @@ class TestSalience:
             0.25 * math.log2(1.5), rel=1e-12
         )
         assert table.salience[("saw", "noun.artifact")] == pytest.approx(1 / 6, rel=1e-12)
-        assert table.priors == {"noun.animal": 0.5, "noun.artifact": 0.5}
 
     def test_animal_context_wins(self, table):
         t = build_taxonomy(SALIENCE_TIF)
@@ -285,95 +272,38 @@ class TestSalience:
         with pytest.raises(ValueError, match="training"):
             build_salience([train_extracted(t, [])], t, window_size=3)
 
-    def test_table_roundtrip(self, table):
-        buf = io.StringIO()
-        save_salience_table(table, buf)
-        loaded = load_salience_table(io.StringIO(buf.getvalue()))
-        assert loaded.salience == table.salience
-        assert loaded.priors == table.priors
-
-
-class TestTableLoaders:
-    """Saved frequency and salience tables read back from text or bytes."""
-
-    FREQUENCY = FrequencyTable({("bass", "a02"): 2, ("trout", "a03"): 7})
-    SALIENCE_ROWS = "__prior__\tnoun.animal\t0.5\ndog\tnoun.animal\t0.25\n"
-
-    @staticmethod
-    def saved(save, table):
-        buf = io.StringIO()
-        save(table, buf)
-        return buf.getvalue()
-
-    def test_byte_order_mark_ignored(self):
-        text = self.saved(save_frequency_table, self.FREQUENCY)
-        loaded = load_frequency_table(io.StringIO("\ufeff" + text))
-        assert loaded.counts == self.FREQUENCY.counts
-        table = load_salience_table(io.StringIO(self.SALIENCE_ROWS))
-        text = self.saved(save_salience_table, table)
-        loaded = load_salience_table(io.StringIO("\ufeff" + text))
-        assert loaded.priors == {"noun.animal": 0.5}
-        assert loaded.salience == {("dog", "noun.animal"): 0.25}
-
-    def test_bytes_stream(self):
-        text = self.saved(save_frequency_table, self.FREQUENCY)
-        loaded = load_frequency_table(io.BytesIO(("\ufeff" + text).encode("utf-8")))
-        assert loaded.counts == self.FREQUENCY.counts
-        loaded = load_salience_table(io.BytesIO(self.SALIENCE_ROWS.encode("utf-8")))
-        assert loaded.priors == {"noun.animal": 0.5}
-        assert loaded.salience == {("dog", "noun.animal"): 0.25}
-
-    @pytest.mark.parametrize(
-        "load, text",
-        [
-            (load_frequency_table, "bass\ta02\t2\ntrout\ta03\tseven\n"),
-            (load_frequency_table, "bass\ta02\t2\ntrout\ta03\t7.5\n"),
-            (load_salience_table, "__prior__\tnoun.animal\t0.5\ndog\tnoun.animal\thigh\n"),
-        ],
-        ids=["word-count", "fractional-count", "word-value"],
-    )
-    def test_bad_number_names_line(self, load, text):
-        with pytest.raises(CorpusError, match="^line 2: "):
-            load(io.StringIO(text))
-
-    @pytest.mark.parametrize("load", [load_frequency_table, load_salience_table])
-    def test_wrong_field_count_names_line(self, load):
-        with pytest.raises(CorpusError, match="^line 1: expected 3 tab-separated fields"):
-            load(io.StringIO("bass\ta02\n"))
-
 
 class TestConceptualDistance:
+    """Sussna's conceptual distance, as ``Taxonomy.distances`` returns it."""
+
     def test_identity(self, clusters):
-        assert conceptual_distance(clusters, "a02", "a02") == 0
+        assert clusters.distances("a02", {"a02"}) == {"a02": 0}
 
     def test_parent_child(self, clusters):
-        assert conceptual_distance(clusters, "a01", "a02") == 1
-        assert conceptual_distance(clusters, "a02", "a01") == 1
+        assert clusters.distances("a01", {"a02"}) == {"a02": 1}
+        assert clusters.distances("a02", {"a01"}) == {"a01": 1}
 
     def test_cross_cluster_path(self, clusters):
         # a02 - a01 - a00 - e00 - b00 - b01 - b02
-        assert conceptual_distance(clusters, "a02", "b02") == 6
+        assert clusters.distances("a02", {"b02"}) == {"b02": 6}
 
     def test_disconnected_is_infinite(self):
+        # no path, so the target is absent from the result
         t = build_taxonomy("S\tx\tnoun.act\ta:0\nS\ty\tnoun.act\tb:0\n")
-        assert conceptual_distance(t, "x", "y") == math.inf
+        assert t.distances("x", {"y"}) == {}
 
     def test_meronym_edges_shorten_paths(self):
         text = CHAIN_TIF + "M\tga1\tgb3\n"
         from cdwsd.taxonomy import RelationMode
 
         t = build_taxonomy(text, RelationMode.HYPERNYMY_MERONYMY)
-        assert conceptual_distance(t, "ga1", "gb3") == 1
+        assert t.distances("ga1", {"gb3"}) == {"gb3": 1}
 
     def test_unknown_synset_rejected(self, clusters):
         with pytest.raises(TaxonomyError, match="unknown synset"):
             clusters.distances("zzz", {"a02"})
         with pytest.raises(TaxonomyError, match="unknown synset"):
             clusters.distances("a02", {"zzz"})
-        with pytest.raises(TaxonomyError, match="unknown synset"):
-            conceptual_distance(clusters, "zzz", "a02")
-        with pytest.raises(TaxonomyError, match="unknown synset"):
-            conceptual_distance(clusters, "a02", "zzz")
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10**9))
@@ -382,13 +312,14 @@ class TestConceptualDistance:
         t = random_taxonomy(rng, max_synsets=25, min_synsets=3, meronymy=True)
         ids = sorted(t.synsets)
         sample = [rng.choice(ids) for _ in range(6)]
+        rows = {a: t.distances(a, set(sample)) for a in sample}
         for a, b in itertools.combinations(sample, 2):
-            d_ab = conceptual_distance(t, a, b)
-            assert d_ab == conceptual_distance(t, b, a)
+            d_ab = rows[a].get(b, math.inf)
+            assert d_ab == rows[b].get(a, math.inf)
             assert (d_ab == 0) == (a == b)
             for c in sample:
-                d_ac = conceptual_distance(t, a, c)
-                d_cb = conceptual_distance(t, c, b)
+                d_ac = rows[a].get(c, math.inf)
+                d_cb = rows[c].get(b, math.inf)
                 if math.isfinite(d_ac) and math.isfinite(d_cb):
                     assert d_ab <= d_ac + d_cb
 
@@ -518,12 +449,22 @@ class TestSussna:
             return distances(source, targets)
 
         monkeypatch.setattr(t, "distances", recording)
-        lemmas = ["w1", "w2", "beast", "w1", "w3"]
-        pool_senses = sorted({s for w in lemmas for s in t.senses_of(w)})
-        got = mutual_constraint_assignment(t, lemmas, random.Random(0))
-        assert got == ("ga1", "ga2", "ga", "ga1", "ga3")  # "beast" pulls to ga
-        assert [source for source, _ in searches] == pool_senses
-        assert all(targets <= set(pool_senses) for _, targets in searches)
+        for lemmas, expected, sources in [
+            # "beast" pulls to ga; the last noun's own senses ga3, gb3 are
+            # not searched from, as no later pool reads their rows
+            (
+                ["w1", "w2", "beast", "w1", "w3"],
+                ("ga1", "ga2", "ga", "ga1", "ga3"),
+                ["ga", "ga1", "ga2", "gb1", "gb2"],
+            ),
+            # the last noun's senses are also the first's, so they are searched
+            (["w1", "w2", "w1"], ("gb1", "gb2", "gb1"), ["ga1", "ga2", "gb1", "gb2"]),
+        ]:
+            searches.clear()
+            pool_senses = {s for w in lemmas for s in t.senses_of(w)}
+            assert mutual_constraint_assignment(t, lemmas, random.Random(0)) == expected
+            assert [source for source, _ in searches] == sources
+            assert all(targets == pool_senses for _, targets in searches)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -560,7 +501,7 @@ class TestSussna:
             context = chosen[max(0, i - (window_size - 1)) : i]
             best, ties = math.inf, []
             for s in t.senses_of(nouns[i].lemma):
-                cost = sum(min(conceptual_distance(t, s, c), len(t)) for c in context)
+                cost = sum(t.distances(s, {c}).get(c, len(t)) for c in context)
                 if cost < best:
                     best, ties = cost, [s]
                 elif cost == best:

@@ -167,12 +167,10 @@ class TestScoreCandidates:
         s2 = {s.concept: (s.cd, s.marks) for s in score_candidates(clusters, doubled, LOCAL)}
         assert s1 == s2
 
-    def test_covered_words_and_mark_floor(self, clusters):
+    def test_covered_and_mark_floor(self, clusters):
         lattice = Lattice.for_window(clusters, ["trout", "bass", "salmon"])
         for s in score_candidates(clusters, lattice, LOCAL):
-            lemmas_covered = {
-                lattice.lemmas[i] for i in s.covered_words
-            }
+            lemmas_covered = {lattice.lemmas[i] for i in s.covered}
             assert s.marks >= len(lemmas_covered)
 
     @settings(max_examples=25, deadline=None)
@@ -229,10 +227,10 @@ def loop_rule(score, lattice):
     """The elimination loop's rule on a full score, derived from the lattice."""
     narrows = any(
         not lattice.frozen[i] and len(score.covered[i]) < len(lattice.remaining[i])
-        for i in score.covered_words
+        for i in score.covered
     )
     assert score.resolvable == narrows
-    return narrows and len({lattice.lemmas[i] for i in score.covered_words}) >= 2
+    return narrows and len({lattice.lemmas[i] for i in score.covered}) >= 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -293,6 +291,12 @@ def test_freeze_keeps_scores_equal_to_a_fresh_lattice(seed, meronymy, mode, dedu
             assert lattice.remaining == state.remaining and lattice.frozen == state.frozen
             got = score_candidates(t, lattice, params, dedup, qualifying=qualifying)
             assert got == score_candidates(t, fresh, params, dedup, qualifying=qualifying)
+            # a covered word always keeps some of its remaining senses
+            assert all(
+                senses and senses <= state.remaining[i]
+                for score in got
+                for i, senses in score.covered.items()
+            )
 
 
 def test_freeze_narrows_each_word_once_to_a_subset():

@@ -369,10 +369,10 @@ def reference_window(t, window, params):
             (
                 s
                 for s in score_candidates(t, lattice, params)
-                if len({lemmas[i] for i in s.covered_words}) >= 2
+                if len({lemmas[i] for i in s.covered}) >= 2
                 and any(
                     not frozen[i] and len(s.covered[i]) < len(remaining[i])
-                    for i in s.covered_words
+                    for i in s.covered
                 )
             ),
             None,
@@ -381,7 +381,7 @@ def reference_window(t, window, params):
             break
         assert len(winners) < len(window.members)  # each winner freezes a word
         winners.append(winner)
-        for idx in winner.covered_words:
+        for idx in winner.covered:
             if not frozen[idx]:
                 remaining[idx] = set(winner.covered[idx])
                 frozen[idx] = True
