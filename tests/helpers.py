@@ -135,6 +135,58 @@ def distance_edge_cases_tif() -> str:
     return "\n".join(lines) + "\n"
 
 
+def chain_cases_tif() -> str:
+    """One TIF holding each shape a search over contracted core chains must
+    get right.  Core degree counts only core edges, so ``a`` and ``b`` are
+    the only nodes of degree other than two under ``hyper``.
+
+    * three parallel chains between ``a`` and ``b``: the edge ``b``-``a``,
+      ``a``-``p1``-``b`` and ``a``-``q1``-``q2``-``q3``-``q4``-``b``;
+    * the loop chain ``a``-``l1``-``l2``-``l3``-``a``;
+    * a bare 6-cycle ``o0``-``o1``-``o2``-``o3``-``o4``-``o5``, a
+      component of its own, with the leaf ``o6`` below ``o2``;
+    * trees hanging off the inner nodes ``q2`` (``g1``, ``g2``) and ``q3``
+      (``h1``, and its second hypernym ``h2``): from one to the other the
+      path along the chain is shorter than through ``a`` or ``b``;
+    * the leaf ``w1`` below ``b``.
+
+    Under ``hyper+mero`` three meronym edges double a hypernym edge (the
+    hyponym is also the whole): ``p1`` and ``a`` are then joined twice, the
+    leaf ``y1`` becomes a loop chain of length two on ``b``, and the pair
+    ``d0``, ``d1``, a tree of its own under ``hyper``, becomes a bare
+    2-cycle.
+
+    ``alpha``, ``beta``, ``gamma`` and ``delta`` each name senses in
+    several of these places (lex_ids in the order listed); ``root``,
+    ``leaf`` and ``hook`` are monosemous, on ``a``, ``o6`` and ``q3``.
+    Every other synset's lemma is its id.
+    """
+    edges = [("b", "a"), ("p1", "a"), ("b", "p1")]
+    edges += [("q1", "a"), ("q2", "q1"), ("q3", "q2"), ("q4", "q3"), ("b", "q4")]
+    edges += [("l1", "a"), ("l2", "l1"), ("l3", "l2"), ("l3", "a")]
+    edges += [("o1", "o0"), ("o2", "o1"), ("o3", "o2"), ("o5", "o0"), ("o4", "o5"), ("o3", "o4")]
+    edges += [("o6", "o2"), ("g1", "q2"), ("g2", "g1"), ("h1", "q3"), ("q3", "h2")]
+    edges += [("w1", "b"), ("y1", "b"), ("d1", "d0")]
+    senses = {
+        "alpha": ["g2", "h1", "o4", "l2", "d1"],
+        "beta": ["q2", "w1", "o1", "p1", "y1"],
+        "gamma": ["h2", "l3", "o5", "q4"],
+        "delta": ["g1", "o0", "b", "d0"],
+        "root": ["a"],
+        "leaf": ["o6"],
+        "hook": ["q3"],
+    }
+    lemmas: dict[str, list[str]] = {}
+    for lemma, ids in senses.items():
+        for lex_id, sid in enumerate(ids):
+            lemmas.setdefault(sid, []).append(f"{lemma}:{lex_id}")
+    ids = sorted({sid for edge in edges for sid in edge})
+    lines = [f"S\t{sid}\tnoun.act\t{','.join(lemmas.get(sid, [f'{sid}:0']))}" for sid in ids]
+    lines += [f"H\t{child}\t{parent}" for child, parent in edges]
+    lines += ["M\tp1\ta", "M\ty1\tb", "M\td1\td0"]
+    return "\n".join(lines) + "\n"
+
+
 def random_taxonomy(
     rng: random.Random,
     max_synsets: int = 200,

@@ -7,7 +7,7 @@ import pytest
 from cdwsd import cli
 from cdwsd.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, main
 
-from helpers import DATA, distance_edge_cases_tif, meronym_clique_tif
+from helpers import DATA, chain_cases_tif, distance_edge_cases_tif, meronym_clique_tif
 
 
 def run(argv):
@@ -686,5 +686,21 @@ class TestDistanceEdgeCasesFixture:
                 "--input", str(DATA / "distance_cases.txt"), "--format", "plain",
                 "--relations", relations, "--baseline", "sussna", "--window", "41"]
         golden = f"distance_cases.sussna.{relations.removeprefix('hyper+')}.tsv"
+        expected = (DATA / golden).read_text(encoding="utf-8")
+        assert run(argv) == (EXIT_OK, expected)
+
+
+class TestChainCasesFixture:
+    """Sussna goldens on ``chain_cases_tif``: parallel chains, a loop chain,
+    a bare cycle and trees hanging off the inner nodes of a chain."""
+
+    @pytest.mark.parametrize("relations", ["hyper", "hyper+mero"])
+    def test_golden_output(self, tmp_path, relations):
+        tif = tmp_path / "chains.tif"
+        tif.write_text(chain_cases_tif(), encoding="utf-8")
+        argv = ["disambiguate", "--taxonomy", str(tif),
+                "--input", str(DATA / "chain_cases.txt"), "--format", "plain",
+                "--relations", relations, "--baseline", "sussna", "--window", "3"]
+        golden = f"chain_cases.sussna.{relations.removeprefix('hyper+')}.tsv"
         expected = (DATA / golden).read_text(encoding="utf-8")
         assert run(argv) == (EXIT_OK, expected)

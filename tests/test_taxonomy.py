@@ -35,6 +35,7 @@ from helpers import (
     brute_height,
     brute_reachable,
     build_taxonomy,
+    chain_cases_tif,
     distance_edge_cases_tif,
     load_data_taxonomy,
     meronym_clique_tif,
@@ -619,6 +620,18 @@ class TestCoreAndFringe:
             assert cases.distances(s, set(cases.synsets)) == dist
             for target in cases.synsets:
                 assert cases.distances(s, {target}) == {x: dist[x] for x in {target} & dist.keys()}
+
+    @pytest.mark.parametrize("mode", list(RelationMode), ids=lambda mode: mode.value)
+    def test_chain_cases_match_brute_bfs(self, mode):
+        t = build_taxonomy(chain_cases_tif(), mode)
+        either = brute_either(t)
+        for s in t.synsets:
+            dist = brute_bfs(either, s)
+            assert t.distances(s, set(t.synsets)) == dist
+            for target in t.synsets:
+                assert t.distances(s, {target}) == {x: dist[x] for x in {target} & dist.keys()}
+        # along the chain from q2 to q3, not round through a or b
+        assert t.distances("g2", {"h1", "h2", "q4", "w1"}) == {"h1": 4, "h2": 4, "q4": 4, "w1": 6}
 
     def test_meronym_two_cycle(self):
         # m2 is a hyponym of m1 and its whole: two edges to one neighbour
