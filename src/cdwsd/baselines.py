@@ -12,6 +12,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import add
 from typing import Iterator, Sequence
 
 from .corpus import ExtractedNouns, SenseKey
@@ -246,44 +247,71 @@ def mutual_constraint_assignment(
 ) -> tuple[str, ...]:
     """Jointly pick one sense per lemma minimising the pairwise distance sum.
 
-    Branch-and-bound over the sense combinations (distances are
-    non-negative, so a partial sum already above the best bound prunes).
-    All minimising combinations are kept, in lexicographic sense order, and
-    one is drawn from ``rng`` (a single draw even without a tie).
+    Branch-and-bound over the sense combinations in lexicographic order.  A
+    partial choice is pruned when its cost plus a lower bound on the rest
+    exceeds the best complete cost so far.  The bound adds, for each later
+    pool, its cheapest sense against the senses chosen so far (summed per
+    pool as the search goes down), and for each pair of later pools, their
+    closest pair of senses.  Every term is at most what any completion
+    pays, and pruning is strict, so every minimising combination is kept,
+    in lexicographic sense order, and one is drawn from ``rng`` (a single
+    draw even without a tie).  A window whose combinations all tie still
+    enumerates every one of them.
     """
     pools = [t.known_senses(lemma) for lemma in lemmas]
     if not pools:
         return ()
 
     # One search per distinct sense of every pool but the last, towards every
-    # pool sense: extend reads a row only for a sense chosen before the last.
+    # pool sense: the bound and the costs read rows of earlier pools' senses only.
     pool_senses = {s for pool in pools for s in pool}
     sources = {s for pool in pools[:-1] for s in pool}
     rows = {s: t.distances(s, pool_senses) for s in sorted(sources)}
     cap = len(t)  # disconnected pairs contribute the node count
+    n = len(pools)
+    # gaps[i][x][k]: distances from the x-th sense of pool i to each sense of
+    # pool i + 1 + k.
+    gaps = [
+        [[[row.get(b, cap) for b in pool] for pool in pools[i + 1:]] for row in map(rows.get, pools[i])]
+        for i in range(n)
+    ]
+    # tail[i]: the closest pair of senses of each pair of pools from i on, summed.
+    tail = [0] * (n + 1)
+    for i in reversed(range(n)):
+        tail[i] = tail[i + 1] + sum(
+            min(min(to[k]) for to in gaps[i]) for k in range(n - 1 - i)
+        )
 
     best = math.inf
     optima: list[tuple[str, ...]] = []
     chosen: list[str] = []
 
-    def extend(i: int, partial: float) -> None:
+    def extend(i: int, partial: int, costs: list[list[int]]) -> None:
+        # costs[k][x]: summed distance from the chosen senses to the x-th
+        # sense of pool i + k.
         nonlocal best, optima
-        if i == len(pools):
+        if i == n:
             if partial < best:
                 best = partial
                 optima = [tuple(chosen)]
             elif partial == best:
                 optima.append(tuple(chosen))
             return
-        for sense in pools[i]:
-            add = sum(rows[prev].get(sense, cap) for prev in chosen)
-            if partial + add > best:
+        # The bound for any sense of pool i before its own distances are
+        # added: each later pool pays at least its closest pair with pool i.
+        floor = partial + tail[i] + sum(map(min, costs[1:]))
+        for sense, cost, to in zip(pools[i], costs[0], gaps[i]):
+            if floor + cost > best:
+                continue
+            cost += partial
+            later = [list(map(add, have, step)) for have, step in zip(costs[1:], to)]
+            if cost + tail[i + 1] + sum(map(min, later)) > best:
                 continue
             chosen.append(sense)
-            extend(i + 1, partial + add)
+            extend(i + 1, cost, later)
             chosen.pop()
 
-    extend(0, 0.0)
+    extend(0, 0, [[0] * len(pool) for pool in pools])
     return rng.choice(optima)
 
 

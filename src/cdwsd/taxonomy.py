@@ -19,11 +19,14 @@ load the synsets are numbered in ascending id order, so integer order is
 string order, and every traversal runs over int adjacency tuples; the
 public API takes and returns string ids.  The distance search follows
 edges in either direction.  That graph is nearly a tree, so its first
-call peels the trees that hang off the graph's 2-core (Seidman 1983) and
-later calls search only the core (the core-fringe split of Akiba, Sommer
-and Kawarabayashi 2012, with trees as the fringe).  A loaded Taxonomy is
-immutable; metric queries and the peel are built on first use with
-single-assignment semantics, and are safe to share across threads.
+call peels the trees that hang off the graph's 2-core (Seidman 1983), and
+contracts the core's chains of degree-2 nodes into weighted edges between
+branch nodes.  Later calls search only that branch graph, with a bucket
+queue (Dial 1969); the core-fringe split is that of Akiba, Sommer and
+Kawarabayashi 2012, with trees as the fringe.  A loaded Taxonomy is
+immutable; metric queries, the peel and the branch graph are built on
+first use with single-assignment semantics, and are safe to share across
+threads.
 
 Input format (TIF, "taxonomy interchange format"): line-oriented UTF-8,
 tab-separated, ``#`` starts a comment line.
@@ -233,6 +236,69 @@ def _core_and_fringe(down: Sequence[Sequence[int]], up: Sequence[Sequence[int]])
     return link, anchor, depth, adjacency
 
 
+#: ``_branch_graph``'s result: each inner node's (chain, offset), each
+#: chain's (first end, last end, length), each node's (branch neighbour,
+#: length) pairs indexed by node number, and the longest chain's length.
+_BranchGraph = tuple[dict[int, tuple[int, int]], list[tuple[int, int, int]],
+                     list[tuple[tuple[int, int], ...]], int]
+
+
+def _branch_graph(adjacency: Sequence[Sequence[int]]) -> _BranchGraph:
+    """The 2-core with its chains of degree-2 nodes contracted to weighted edges.
+
+    ``adjacency`` is the core's, with multiplicity.  Branch nodes are the
+    core nodes of degree other than two, plus the lowest node of each cycle
+    that has none (a bare cycle).  A chain runs between two branch nodes,
+    possibly the same one, through inner nodes of degree two; each inner
+    node records its chain and its offset from the chain's first end.  A
+    walk leaves an inner node by the edge it did not come in on, so a node
+    joined twice to one neighbour walks back to it.  Two branch nodes are
+    joined by the length of the shortest chain between them; a chain from a
+    node back to itself adds no edge.  Inner nodes have no edges.
+    """
+    place: dict[int, tuple[int, int]] = {}
+    chains: list[tuple[int, int, int]] = []
+    shortest: dict[int, dict[int, int]] = {}  # branch node -> neighbour -> length
+    branch = bytearray(len(adjacency))
+
+    def walk(node: int) -> None:
+        branch[node] = 1
+        for first in adjacency[node]:
+            if first in place:
+                continue  # walked from its other end, or the other way round
+            prev, end, inner = node, first, []
+            while not branch[end]:
+                inner.append(end)
+                pair = adjacency[end]
+                prev, end = end, pair[1] if pair[0] == prev else pair[0]
+            length = len(inner) + 1
+            if inner:
+                for offset, member in enumerate(inner, 1):
+                    place[member] = (len(chains), offset)
+                chains.append((node, end, length))
+            if end != node:
+                for a, b in ((node, end), (end, node)):
+                    near = shortest.setdefault(a, {})
+                    if length < near.get(b, length + 1):
+                        near[b] = length
+
+    core = [node for node, near in enumerate(adjacency) if near]
+    starts = [node for node in core if len(adjacency[node]) != 2]
+    for node in starts:
+        branch[node] = 1
+    for node in starts:
+        walk(node)
+    # Every degree-2 node of a component with a branch node now has its
+    # chain; each one left lies on a bare cycle.
+    for node in core:
+        if not branch[node] and node not in place:
+            walk(node)
+    edges: list[tuple[tuple[int, int], ...]] = [()] * len(adjacency)
+    for node, near in shortest.items():
+        edges[node] = tuple(near.items())
+    return place, chains, edges, max((length for *_, length in chains), default=1)
+
+
 class Taxonomy:
     """Immutable noun taxonomy with memoized metric queries.
 
@@ -281,9 +347,10 @@ class Taxonomy:
         self._down = [_sorted_unique(kids) for kids in down]
         self._up = [_sorted_unique(parents) for parents in up]
         del down, up  # free the lists before the peel, where loading peaks
-        # The 2-core and the trees hanging off it, built by the first
-        # ``distances`` call (see ``_core_and_fringe``).
-        self._core: _CoreAndFringe | None = None
+        # Link, anchor and depth of the trees hanging off the 2-core, then
+        # the core's branch graph; built by the first ``distances`` call
+        # (see ``_core_and_fringe`` and ``_branch_graph``).
+        self._core: tuple | None = None
 
         # Peel sinks (Kahn's algorithm, from the leaves): a node is removed
         # once all its children are, and its height is final then.  The loop
@@ -395,21 +462,26 @@ class Taxonomy:
         Edges count 1 and are followed in either direction, under the
         relation mode; targets in another component are absent from the
         result.  The first call peels the trees that hang off the graph's
-        2-core (see ``_core_and_fringe``).  A target with the source's
-        anchor is at their tree distance.  Every other target is at the
-        source's hang depth, plus the core distance between the two
-        anchors, plus its own hang depth; one breadth-first search over
-        the core, from the source's anchor, stops once every such anchor
-        is found.  This is exact because a hanging tree meets the rest of
+        2-core (see ``_core_and_fringe``) and contracts the core's chains
+        (see ``_branch_graph``).  A target with the source's anchor is at
+        their tree distance.  Every other target is at the source's hang
+        depth, plus the core distance between the two anchors, plus its own
+        hang depth.  This is exact because a hanging tree meets the rest of
         the graph only at its anchor, so no shortest path leaves the core
-        and comes back.
+        and comes back.  Core distances come from one bucket-queue shortest
+        path search (Dial 1969) over the branch graph, entered at the
+        source anchor or at the ends of its chain.  A target anchor on a
+        chain is reached from either end of it, or along it when the source
+        anchor lies on the same chain.  The search stops once every target
+        anchor is settled.
         """
         start = self._node(source)
         wanted = {self._node(target) for target in targets}
         core = self._core
         if core is None:
-            core = self._core = _core_and_fringe(self._down, self._up)
-        link, anchor, depth, adjacency = core
+            link, anchor, depth, adjacency = _core_and_fringe(self._down, self._up)
+            core = self._core = (link, anchor, depth, *_branch_graph(adjacency))
+        link, anchor, depth, place, chains, edges, longest = core
         ids = self._ids
         home = anchor[start]
         found: dict[str, int] = {}
@@ -428,21 +500,62 @@ class Taxonomy:
             while a != b:
                 a, b = link[a], link[b]
             found[ids[node]] = depth[start] + depth[node] - 2 * depth[a]
-        seen = bytearray(len(ids))
-        seen[home] = 1
-        frontier = [home]
-        d = depth[start]
-        while frontier and away:
-            d += 1
-            nxt = []
-            for node in frontier:
-                for neigh in adjacency[node]:
-                    if not seen[neigh]:
-                        seen[neigh] = 1
-                        nxt.append(neigh)
-                        for target in away.pop(neigh, ()):
-                            found[ids[target]] = d + depth[target]
-            frontier = nxt
+        if not away:
+            return found
+        # A ring of buckets (Dial 1969): ring[d % len(ring)] holds the nodes
+        # reached at core distance d.  No step is longer than the longest
+        # chain, so the ring never wraps onto a bucket still in use.
+        ring: list[list[int]] = [[] for _ in range(longest + 1)]
+        settled = bytearray(len(ids))
+        marked = bytearray(len(ids))  # target anchors, and chain ends they hang off
+        hooks: dict[int, list[tuple[int, int]]] = {}
+        on_chain = place.get(home)
+        if on_chain is None:
+            ring[0].append(home)
+        else:
+            chain, offset = on_chain
+            first, last, length = chains[chain]
+            ring[offset].append(first)
+            ring[length - offset].append(last)
+        for node in away:
+            marked[node] = 1
+            at = place.get(node)
+            if at is not None:
+                first, last, length = chains[at[0]]
+                hooks.setdefault(first, []).append((node, at[1]))
+                hooks.setdefault(last, []).append((node, length - at[1]))
+                marked[first] = marked[last] = 1
+                if on_chain is not None and at[0] == chain:
+                    ring[abs(at[1] - offset)].append(node)
+        left = len(away)
+        size = len(ring)
+        core_d, idle = -1, 0
+        while idle < size:  # a whole turn of empty buckets: nothing is left
+            core_d += 1
+            slot = core_d % size
+            reached = ring[slot]
+            if not reached:
+                idle += 1
+                continue
+            idle = 0
+            ring[slot] = []
+            for node in reached:
+                if settled[node]:
+                    continue
+                settled[node] = 1
+                if marked[node]:
+                    hanging = away.get(node)
+                    if hanging is not None:
+                        for target in hanging:
+                            found[ids[target]] = depth[start] + core_d + depth[target]
+                        left -= 1
+                        if not left:
+                            return found
+                    for nxt, length in hooks.get(node, ()):
+                        ring[(slot + length) % size].append(nxt)
+                for nxt, length in edges[node]:
+                    if not settled[nxt]:
+                        ring[(slot + length) % size].append(nxt)
         return found
 
     def subhierarchy_metrics(self, concept: str) -> SubhierarchyMetrics:

@@ -21,6 +21,7 @@ With add-one smoothing P(w|cat) = (c+1)/12 and P(w) = c(w)/12:
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -40,9 +41,16 @@ from cdwsd.baselines import (
 from cdwsd.corpus import SenseKey, extract_nouns, parse_semcor
 from cdwsd.disambiguator import Method, NounOccurrence, Outcome
 from cdwsd.evaluation import Level, Population
-from cdwsd.taxonomy import TaxonomyError
+from cdwsd.taxonomy import RelationMode, TaxonomyError
 
-from helpers import DATA, DistanceCache, build_taxonomy, load_data_taxonomy, random_taxonomy
+from helpers import (
+    DATA,
+    DistanceCache,
+    build_taxonomy,
+    load_data_taxonomy,
+    random_taxonomy,
+    random_tif,
+)
 
 SALIENCE_TIF = """\
 S\tr0\tnoun.tops\tthing:0
@@ -84,6 +92,25 @@ H\tgb1\tgb
 H\tgb2\tgb1
 H\tgb3\tgb2
 """
+
+
+def with_twins(text, rng, every=False):
+    """``text`` plus a twin for some leaf senses (all of them with
+    ``every``): ``twin.<id>`` has the leaf's lexfile, first lemma and
+    parents, so it is as far as the leaf from every other synset."""
+    t = build_taxonomy(text)
+    parts = {part for syn in t.synsets.values() for part in syn.meronym_ids}
+    leaves = [
+        syn for sid, syn in sorted(t.synsets.items())
+        if syn.hypernym_ids and not syn.meronym_ids and sid not in parts
+        and not t.children_of(sid)
+    ]
+    lines = []
+    chosen = leaves if every else rng.sample(leaves, min(len(leaves), rng.randint(1, 3)))
+    for lex_id, syn in enumerate(chosen, 1000):  # above every lex_id of the text
+        lines.append(f"S\ttwin.{syn.id}\t{syn.lexfile}\t{syn.lemmas[0][0]}:{lex_id}")
+        lines += [f"H\ttwin.{syn.id}\t{parent}" for parent in syn.hypernym_ids]
+    return text + "".join(line + "\n" for line in lines)
 
 
 def occurrences(*lemmas):
@@ -390,16 +417,25 @@ class TestSussna:
         assignments = sussna_baseline(occurrences("w1", "w2"), t, seed=0)
         assert assignments[0].senses == ("c1",)
 
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 10**6))
-    def test_mutual_equals_product_enumeration(self, seed):
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), twins=st.booleans())
+    def test_mutual_equals_product_enumeration(self, seed, twins):
+        # Up to 10 pools, lemmas drawn with replacement, at most 4,096
+        # combinations.  With ``twins`` some leaf senses get a twin: a leaf
+        # with the same parents and lemma, equally far from every other
+        # synset, so the optima tie in pairs.
         rng = random.Random(seed)
-        t = random_taxonomy(rng, max_synsets=30, min_synsets=4, meronymy=True)
+        text = random_tif(rng, max_synsets=30, meronymy=True, min_synsets=4)
+        if twins:
+            text = with_twins(text, rng)
+        t = build_taxonomy(text, RelationMode.HYPERNYMY_MERONYMY)
         lemmas = sorted(t.lemma_index)
-        picked = [rng.choice(lemmas) for _ in range(rng.randint(1, 5))]
-        picked = [w for w in picked if len(t.senses_of(w)) <= 4][:10]
-        if not picked:
-            return
+        picked, combos = [], 1
+        for _ in range(rng.randint(1, 10)):
+            w = rng.choice(picked if picked and rng.random() < 0.3 else lemmas)
+            if combos * len(t.senses_of(w)) <= 4096:
+                picked.append(w)
+                combos *= len(t.senses_of(w))
         got = mutual_constraint_assignment(t, picked, random.Random(seed))
         cache = DistanceCache(t)
         best, optima = math.inf, []
@@ -412,6 +448,63 @@ class TestSussna:
             elif cost == best:
                 optima.append(combo)
         assert got == random.Random(seed).choice(optima)
+
+    def test_twin_senses_tie(self):
+        # gb3's twin is one more optimum beside the chain cluster's; the
+        # seed draws between the two
+        t = build_taxonomy(with_twins(CHAIN_TIF, random.Random(0), every=True))
+        assert t.senses_of("w3") == ("ga3", "gb3", "twin.ga3", "twin.gb3")
+        seen = {
+            mutual_constraint_assignment(t, ["w1", "w2", "w3"], random.Random(seed))
+            for seed in range(40)
+        }
+        assert seen == {("gb1", "gb2", "gb3"), ("gb1", "gb2", "twin.gb3")}
+
+    def test_all_ties_window_keeps_every_combination(self):
+        # every sense is a distinct leaf under one root, so every pair is 2
+        # apart and all 3**4 combinations tie: the bound prunes none, and the
+        # draw is over all of them in lexicographic order
+        lines = ["S\tr\tnoun.tops\troot:0"]
+        for i in range(4):
+            for j in range(3):
+                lines += [f"S\tw{i}s{j}\tnoun.act\tw{i}:{j}", f"H\tw{i}s{j}\tr"]
+        t = build_taxonomy("\n".join(lines) + "\n")
+        lemmas = ["w0", "w1", "w2", "w3"]
+        every = list(itertools.product(*map(t.senses_of, lemmas)))
+        for seed in range(20):
+            got = mutual_constraint_assignment(t, lemmas, random.Random(seed))
+            assert got == random.Random(seed).choice(every)
+
+    def test_wide_window_in_bounded_time(self):
+        # 10 pools of 30 senses each (30**10 combinations) in a random tree
+        # of 600 synsets; distances differ, so not every combination ties.
+        # The joint search must finish within 10 s (about 0.2-0.7 s on a
+        # shared 2-core Xeon; the search pruned by partial sums alone took
+        # 17 s on it).
+        rng = random.Random(0)
+        ids = [f"n{i:03d}" for i in range(600)]
+        names = {sid: [] for sid in ids}
+        for i in range(10):
+            for lex_id, sid in enumerate(sorted(rng.sample(ids, 30))):
+                names[sid].append(f"w{i}:{lex_id}")
+        lines = [f"S\t{sid}\tnoun.act\t{','.join(names[sid] or [sid + ':0'])}" for sid in ids]
+        lines += [f"H\t{ids[i]}\t{ids[rng.randrange(max(0, i - 20), i)]}" for i in range(1, 600)]
+        t = build_taxonomy("\n".join(lines) + "\n")
+        lemmas = [f"w{i}" for i in range(10)]
+        start = time.perf_counter()
+        got = mutual_constraint_assignment(t, lemmas, random.Random(0))
+        assert time.perf_counter() - start < 10
+        cache = DistanceCache(t)
+
+        def cost(combo):
+            return sum(cache.capped(a, b) for a, b in itertools.combinations(combo, 2))
+
+        # no single change of sense does better, and the first combination
+        # does worse, so the window is not one big tie
+        for i, w in enumerate(lemmas):
+            for s in t.senses_of(w):
+                assert cost(got[:i] + (s,) + got[i + 1:]) >= cost(got)
+        assert cost(tuple(t.senses_of(w)[0] for w in lemmas)) > cost(got)
 
     def test_one_search_per_context_position_seen_by_a_polysemous_noun(
         self, monkeypatch

@@ -564,6 +564,71 @@ def hanging_trees_tif(rng):
     return "\n".join(lines) + "\n", trees
 
 
+def branch_chains_tif(rng):
+    """One to three components of branch nodes joined by chains, and bare
+    cycles, with doubled edges and trees hanging off chain nodes.
+
+    A component has one to four branch nodes and up to six chains, each
+    between two of them drawn with replacement (so some are parallel and
+    some are loops back to one node), of length 1 to 7.  A bare cycle is a
+    component of its own, 1 to 7 synsets round.  Every hypernym edge has
+    the later synset as the hyponym, so hypernymy stays acyclic.  Meronym
+    edges then double some hypernym edges (the hyponym is also the whole:
+    under ``hyper+mero`` a pair joined twice, and a cycle of length one is
+    a self-loop) and link up to two random pairs.  Trees of one to three
+    synsets hang off random chain nodes.
+
+    Returns the text and the chains, each a list of ids from end to end;
+    queries draw sources and targets from them.
+    """
+    ids, hyper, mero, chains = [], [], [], []
+
+    def new():
+        ids.append(f"n{len(ids):03d}")
+        return ids[-1]
+
+    def join(a, b):
+        hyper.append((max(a, b), min(a, b)))
+
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.3:  # a bare cycle
+            ring = [new() for _ in range(rng.randint(1, 7))]
+            if len(ring) == 1:
+                mero.append((ring[0], ring[0]))
+            elif len(ring) == 2:
+                join(*ring)
+                mero.append((ring[1], ring[0]))
+            else:
+                for a, b in zip(ring, ring[1:] + ring[:1]):
+                    join(a, b)
+            chains.append(ring + ring[:1])
+            continue
+        branches = [new() for _ in range(rng.randint(1, 4))]
+        for _ in range(rng.randint(1, 6)):
+            a, b = rng.choice(branches), rng.choice(branches)
+            chain = [a] + [new() for _ in range(rng.randint(1, 7) - 1)] + [b]
+            for x, y in zip(chain, chain[1:]):
+                if x != y:
+                    join(x, y)
+                else:
+                    mero.append((x, x))
+            chains.append(chain)
+    for child, parent in rng.sample(hyper, min(len(hyper), rng.randint(0, 3))):
+        mero.append((child, parent))
+    for _ in range(rng.randint(0, 2)):
+        mero.append(tuple(rng.sample(ids, 2)) if len(ids) > 1 else (ids[0], ids[0]))
+    for _ in range(rng.randint(0, 4)):
+        at = rng.choice(rng.choice(chains))
+        for _ in range(rng.randint(1, 3)):
+            node = new()
+            hyper.append((node, at) if rng.random() < 0.8 else (at, node))
+            at = node
+    lines = [f"S\t{sid}\tnoun.act\t{sid}:0" for sid in ids]
+    lines += [f"H\t{child}\t{parent}" for child, parent in hyper]
+    lines += [f"M\t{whole}\t{part}" for whole, part in mero]
+    return "\n".join(lines) + "\n", chains
+
+
 def brute_either(t):
     down = brute_children(t)
     either = {sid: set(kids) for sid, kids in down.items()}
@@ -608,6 +673,25 @@ class TestCoreAndFringe:
             for s in ids:
                 dist = brute_bfs(either, s)
                 assert t.distances(s, set(ids)) == dist
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 10**9))
+    def test_branch_chains_match_brute_bfs(self, seed):
+        rng = random.Random(seed)
+        text, chains = branch_chains_tif(rng)
+        for mode in RelationMode:
+            t = build_taxonomy(text, mode)
+            either = brute_either(t)
+            ids = sorted(t.synsets)
+            for s in ids:
+                dist = brute_bfs(either, s)
+                assert t.distances(s, set(ids)) == dist
+                for target in rng.sample(ids, min(len(ids), 3)):
+                    assert t.distances(s, {target}) == {x: dist[x] for x in {target} & dist.keys()}
+            for chain in chains:  # both ends on one chain: along it, or round
+                s, target = rng.choice(chain), rng.choice(chain)
+                dist = brute_bfs(either, s)
+                assert t.distances(s, {target}) == {target: dist[target]}
 
     @pytest.fixture(params=list(RelationMode), ids=lambda mode: mode.value)
     def cases(self, request):
