@@ -67,11 +67,14 @@ class TestStats:
     def test_plain_format_rows_and_total(self, tmp_path):
         plain = tmp_path / "w.txt"
         plain.write_text("trout mystery bass\nsalmon\n")
+        # a blank line, upper-case words and CRLF line ends
+        crlf = tmp_path / "crlf.txt"
+        crlf.write_bytes(b"Bass TROUT\r\n\r\ncrab mystery Guitar\r\n")
         code, out = run(
             [
                 "stats",
                 "--taxonomy", str(DATA / "two_clusters.tif"),
-                "--input", str(plain), str(plain),
+                "--input", str(plain), str(plain), str(crlf),
                 "--format", "plain",
             ]
         )
@@ -79,7 +82,8 @@ class TestStats:
         assert out.splitlines()[1:] == [
             "w\t4\t4\t3\t2 (67%)",
             "w\t4\t4\t3\t2 (67%)",
-            "total\t8\t8\t6\t4 (67%)",
+            "crlf\t5\t5\t4\t3 (75%)",
+            "total\t13\t13\t10\t7 (70%)",
         ]
 
     def test_parse_failure_exit_code(self, tmp_path):
