@@ -21,7 +21,6 @@ from .corpus import (
     SenseKey,
     corpus_stats,
     extract_nouns,
-    filter_in_vocabulary,
     parse_plain,
     parse_semcor,
     serialize_semcor,

@@ -27,7 +27,6 @@ from .corpus import (
     CorpusStats,
     ExtractedNouns,
     extract_nouns,
-    filter_in_vocabulary,
     parse_plain,
     parse_semcor,
 )
@@ -157,16 +156,12 @@ def _load_taxonomy(args) -> Taxonomy:
 def _read_documents(
     paths: Sequence[str], fmt: str, t: Taxonomy
 ) -> list[tuple[str, ExtractedNouns]]:
-    """(doc id, extracted noun stream) per file in ``fmt``, in the given order."""
+    """(file stem, extracted noun stream) per file in ``fmt``, in the given order."""
+    parse = parse_semcor if fmt == "semcor" else parse_plain
     docs = []
     for path in paths:
-        name = Path(path).stem
         with open(path, "r", encoding="utf-8") as fh:
-            if fmt == "semcor":
-                extracted = extract_nouns(parse_semcor(fh, doc_id=name), t)
-            else:
-                extracted = filter_in_vocabulary(parse_plain(fh), t)
-        docs.append((name, extracted))
+            docs.append((Path(path).stem, extract_nouns(parse(fh), t)))
     return docs
 
 

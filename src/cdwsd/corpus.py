@@ -14,14 +14,17 @@ POS tag closing the token.  Sense keys are ``[lexfile.lex_id]`` where the
 final dot-separated field is the integer lex_id and the rest the
 lexicographer file.
 
-Plain input is whitespace-separated lemmas, one sentence per line.
+Plain input is whitespace-separated words, one sentence per line.  It is
+read into the same ``Document``: every word becomes an ``NN`` token whose
+lemma is the word in lower case, with no sense key, so ``extract_nouns``
+turns either format into the disambiguation input stream.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO
 
 from .disambiguator import NounOccurrence
 from .taxonomy import Taxonomy, read_lines
@@ -60,7 +63,6 @@ class SemcorToken:
 
 @dataclass(frozen=True)
 class Document:
-    id: str
     sentences: tuple[tuple[SemcorToken, ...], ...]
 
 
@@ -90,7 +92,7 @@ def _parse_sense_key(text: str, lineno: int) -> SenseKey:
     return SenseKey(lexfile=m.group(1), lex_id=int(m.group(2)))
 
 
-def parse_semcor(stream: IO, doc_id: str = "") -> Document:
+def parse_semcor(stream: IO) -> Document:
     """Parse the tagged subset into a Document.
 
     Raises CorpusError with a line number for malformed nesting: elements
@@ -164,7 +166,7 @@ def parse_semcor(stream: IO, doc_id: str = "") -> Document:
                 cur = None
     if in_sentence:
         raise CorpusError("end of input inside a sentence", lineno)
-    return Document(id=doc_id, sentences=tuple(sentences))
+    return Document(tuple(sentences))
 
 
 def serialize_semcor(doc: Document) -> str:
@@ -219,7 +221,7 @@ def extract_nouns(doc: Document, t: Taxonomy) -> ExtractedNouns:
     occurrences: list[NounOccurrence] = []
     gold: list[SenseKey | None] = []
     oov = words = 0
-    for sent_id, sentence in enumerate(doc.sentences):
+    for sentence in doc.sentences:
         words += len(sentence)
         for tok in sentence:
             if not tok.is_noun():
@@ -227,13 +229,7 @@ def extract_nouns(doc: Document, t: Taxonomy) -> ExtractedNouns:
             if not t.senses_of(tok.lemma):
                 oov += 1
                 continue
-            occurrences.append(
-                NounOccurrence(
-                    doc_position=len(occurrences),
-                    lemma=tok.lemma,
-                    sentence_id=sent_id,
-                )
-            )
+            occurrences.append(NounOccurrence(len(occurrences), tok.lemma))
             gold.append(tok.sense_key)
     return ExtractedNouns(tuple(occurrences), tuple(gold), oov, words)
 
@@ -242,44 +238,16 @@ def corpus_stats(doc: Document, t: Taxonomy) -> CorpusStats:
     return extract_nouns(doc, t).stats(t)
 
 
-def parse_plain(stream: IO) -> list[NounOccurrence]:
-    """Whitespace-separated lemmas, one sentence per line; blank lines skipped."""
-    occurrences: list[NounOccurrence] = []
-    sent_id = 0
-    for _, line in read_lines(stream):
-        lemmas = line.split()
-        if not lemmas:
-            continue
-        for lemma in lemmas:
-            occurrences.append(
-                NounOccurrence(
-                    doc_position=len(occurrences),
-                    lemma=lemma.lower(),
-                    sentence_id=sent_id,
-                )
-            )
-        sent_id += 1
-    return occurrences
+def parse_plain(stream: IO) -> Document:
+    """Whitespace-separated words, one sentence per line; blank lines skipped.
 
-
-def filter_in_vocabulary(
-    occurrences: Sequence[NounOccurrence], t: Taxonomy
-) -> ExtractedNouns:
-    """Drop occurrences the taxonomy cannot sense, re-indexing positions.
-
-    Every lemma read counts as a word and a noun; there are no gold keys.
+    Every word is an ``NN`` token, lemma in lower case, with no sense key.
     """
-    kept: list[NounOccurrence] = []
-    dropped = 0
-    for occ in occurrences:
-        if t.senses_of(occ.lemma):
-            kept.append(
-                NounOccurrence(
-                    doc_position=len(kept),
-                    lemma=occ.lemma,
-                    sentence_id=occ.sentence_id,
-                )
+    sentences = []
+    for _, line in read_lines(stream):
+        words = line.split()
+        if words:
+            sentences.append(
+                tuple(SemcorToken(wordform=w, lemma=w.lower(), pos="NN") for w in words)
             )
-        else:
-            dropped += 1
-    return ExtractedNouns(tuple(kept), (None,) * len(kept), dropped, len(occurrences))
+    return Document(tuple(sentences))

@@ -57,7 +57,6 @@ class NounOccurrence:
 
     doc_position: int
     lemma: str
-    sentence_id: int = 0
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,7 @@
 
 Coverage is answered/total, precision correct/answered, recall
 correct/total; recall == precision * coverage holds exactly on the
-underlying integer counts.  Partial answers count as unanswered (the
-strict reading used throughout), unless lenient mode is requested, where
-a Partial counts as answered-and-correct when the gold sense is inside
-the surviving set.
+underlying integer counts.  Partial answers count as unanswered.
 
 Gold keys that do not resolve through the (lemma, lexfile, lex_id) index
 are never silently dropped: if the system answered such an occurrence the
@@ -21,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .corpus import SenseKey
-from .disambiguator import Assignment, Outcome
+from .disambiguator import Assignment
 from .taxonomy import Taxonomy
 
 
@@ -82,7 +79,6 @@ def score(
     gold: Sequence[SenseKey | None],
     level: Level = Level.SENSE,
     population: Population = Population.ALL,
-    lenient: bool = False,
     system: str = "",
 ) -> EvalReport:
     """Score one assignment list against its parallel gold keys."""
@@ -103,16 +99,15 @@ def score(
             if key is not None
             else None
         )
-        is_answered = a.is_answered() or (lenient and a.outcome is Outcome.PARTIAL)
         if gold_synset is None:
             unresolvable += 1
-            if is_answered:
+            if a.is_answered():
                 total += 1
                 answered += 1
             continue
 
         total += 1
-        if not is_answered:
+        if not a.is_answered():
             continue
         answered += 1
         if a.category is not None:

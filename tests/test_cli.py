@@ -1,6 +1,7 @@
 import gc
 import io
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -466,9 +467,9 @@ class TestSweep:
         parsed = []
         parse = cli.parse_semcor
 
-        def counting(fh, doc_id):
-            parsed.append(doc_id)
-            return parse(fh, doc_id=doc_id)
+        def counting(fh):
+            parsed.append(Path(fh.name).stem)
+            return parse(fh)
 
         monkeypatch.setattr(cli, "parse_semcor", counting)
         code, _ = run(

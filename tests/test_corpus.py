@@ -8,7 +8,6 @@ from cdwsd.corpus import (
     SenseKey,
     corpus_stats,
     extract_nouns,
-    filter_in_vocabulary,
     parse_plain,
     parse_semcor,
     serialize_semcor,
@@ -143,7 +142,12 @@ class TestExtractNouns:
         assert [o.lemma for o in extracted.occurrences] == [
             "trout", "bass", "salmon", "guitar", "bass", "drum",
         ]
-        assert [o.sentence_id for o in extracted.occurrences] == [0, 0, 0, 1, 1, 1]
+        nouns_by_sentence = [
+            [tok.lemma for tok in sentence if tok.is_noun()] for sentence in doc.sentences
+        ]
+        assert nouns_by_sentence == [
+            ["trout", "bass", "salmon"], ["guitar", "bass", "xylophone", "drum"],
+        ]
 
     def test_gold_keys_resolve_uniquely(self):
         t = load_data_taxonomy("two_clusters.tif")
@@ -177,25 +181,29 @@ class TestCorpusStats:
 
 class TestParsePlain:
     def test_one_line(self):
-        occ = parse_plain(io.StringIO("jury administration operation\n"))
-        assert [o.lemma for o in occ] == ["jury", "administration", "operation"]
-        assert [o.doc_position for o in occ] == [0, 1, 2]
+        doc = parse_plain(io.StringIO("jury administration operation\n"))
+        assert doc.sentences == (
+            tuple(
+                SemcorToken(wordform=w, lemma=w, pos="NN")
+                for w in ("jury", "administration", "operation")
+            ),
+        )
 
     def test_blank_lines_ignored(self):
-        occ = parse_plain(io.StringIO("a b\n\n\nc\n"))
-        assert [o.lemma for o in occ] == ["a", "b", "c"]
-        assert [o.sentence_id for o in occ] == [0, 0, 1]
+        doc = parse_plain(io.StringIO("a b\n\n\nc\n"))
+        assert [[tok.lemma for tok in s] for s in doc.sentences] == [["a", "b"], ["c"]]
 
     def test_input_words_line(self):
         line = "jury administration operation Police_Department prison_farm\n"
-        occ = parse_plain(io.StringIO(line))
-        assert len(occ) == 5
-        assert occ[3].lemma == "police_department"
+        (sentence,) = parse_plain(io.StringIO(line)).sentences
+        assert len(sentence) == 5
+        assert (sentence[3].wordform, sentence[3].lemma) == (
+            "Police_Department", "police_department",
+        )
 
-    def test_filter_in_vocabulary(self):
+    def test_extract_nouns_drops_unknown_words(self):
         t = load_data_taxonomy("two_clusters.tif")
-        occ = parse_plain(io.StringIO("trout mystery bass\n"))
-        extracted = filter_in_vocabulary(occ, t)
+        extracted = extract_nouns(parse_plain(io.StringIO("trout mystery bass\n")), t)
         assert extracted.out_of_vocabulary == 1
         assert [o.lemma for o in extracted.occurrences] == ["trout", "bass"]
         assert [o.doc_position for o in extracted.occurrences] == [0, 1]

@@ -127,25 +127,12 @@ class TestScore:
         assert poly_r.total == 1
         assert poly_r.correct == 1
 
-    def test_partial_unanswered_strict_answered_lenient(self, clusters):
+    def test_partial_counts_as_unanswered(self, clusters):
         assignments = [partial("bass", ("a02", "b02"))]
         gold = [key(clusters, "a02", "bass")]
         strict = score(clusters, assignments, gold)
         assert (strict.total, strict.answered, strict.correct) == (1, 0, 0)
         assert strict.precision is None
-        lenient = score(clusters, assignments, gold, lenient=True)
-        assert (lenient.total, lenient.answered, lenient.correct) == (1, 1, 1)
-
-    def test_lenient_partial_miss(self):
-        # gold outside the surviving set is answered-and-wrong in lenient mode
-        from helpers import build_taxonomy
-
-        t = build_taxonomy(
-            "S\tx1\tnoun.act\tw:0\nS\tx2\tnoun.group\tw:0\nS\tx3\tnoun.state\tw:0\n"
-        )
-        gold = [SenseKey("noun.state", 0)]
-        miss = score(t, [partial("w", ("x1", "x2"))], gold, lenient=True)
-        assert (miss.total, miss.answered, miss.correct) == (1, 1, 0)
 
     def test_unresolvable_gold(self, clusters):
         # gold key that joins to nothing: lex_id 9 never appears

@@ -34,7 +34,7 @@ def taxonomy_view(t):
     "parse, source",
     [
         (lambda fh: taxonomy_view(load_taxonomy(fh)), "two_clusters.tif"),
-        (lambda fh: parse_semcor(fh, doc_id="d"), "toy_corpus.semcor"),
+        (parse_semcor, "toy_corpus.semcor"),
         (parse_plain, None),
     ],
     ids=["taxonomy", "semcor", "plain"],
