@@ -128,9 +128,29 @@ class TestLoading:
             build_taxonomy(bad)
 
     def test_duplicate_sense_key(self):
-        bad = "S\tx\tnoun.act\tsame:0\nS\ty\tnoun.act\tsame:0\n"
-        with pytest.raises(TaxonomyError, match="duplicate sense key"):
-            build_taxonomy(bad)
+        two = "S\tx\tnoun.act\ta:0\nS\ty\tnoun.act\ta:0\n"
+        named = "duplicate sense key a%noun.act.0 in 'x' and 'y'"
+        cases = [
+            (two, named),
+            ("S\tx\tnoun.act\tb:0,a:0,a:0\n", "duplicate sense key a%noun.act.0 in 'x' and 'x'"),
+            # a later malformed line and a dangling edge win; a cycle loses
+            (two + "S\tbroken\n", "line 3: S record needs 4 fields, got 2"),
+            (two + "H\tx\tzz\n", "line 3: edge references unknown synset 'zz'"),
+            (two + "H\tx\ty\nH\ty\tx\n", named),
+        ]
+        for text, error in cases:
+            for mode in RelationMode:
+                with pytest.raises(TaxonomyError) as info:
+                    build_taxonomy(text, mode)
+                assert str(info.value) == error
+
+    def test_repeated_edge_loads_once(self):
+        for mode in RelationMode:
+            t = build_taxonomy(CHAIN + "H\tb\ta\nH\tc\tb\n", mode)
+            assert t.children_of("a") == ("b",) and t.children_of("b") == ("c",)
+            assert t.ancestors_of("c") == {"a", "b", "c"}
+            assert t.distances("c", {"a"}) == {"a": 2}
+            assert [t.subhierarchy_metrics(c).height for c in "abc"] == [2, 1, 0]
 
     def test_syntax_error_carries_line_number(self):
         with pytest.raises(TaxonomyError, match="line 2"):
