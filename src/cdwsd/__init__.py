@@ -57,7 +57,6 @@ from .evaluation import (
 from .taxonomy import (
     RelationMode,
     SubhierarchyMetrics,
-    Synset,
     Taxonomy,
     TaxonomyError,
     load_taxonomy,

@@ -64,7 +64,7 @@ def analytic_random_expectation(
         if t.resolve_sense_key(occ.lemma, key.lexfile, key.lex_id) is None:
             continue
         senses = t.senses_of(occ.lemma)
-        same_file = sum(1 for s in senses if t.synsets[s].lexfile == key.lexfile)
+        same_file = sum(1 for s in senses if t.lexfile_of(s) == key.lexfile)
         rows.append((len(senses), same_file))
     if not rows:
         raise ValueError("no resolvable gold keys in the input")
@@ -219,7 +219,7 @@ def yarowsky_baseline(
     """
     out = []
     for i, occ in enumerate(nouns):
-        candidates = sorted({t.synsets[s].lexfile for s in t.known_senses(occ.lemma)})
+        candidates = sorted({t.lexfile_of(s) for s in t.known_senses(occ.lemma)})
         scores = {cat: 0.0 for cat in candidates}
         for lemma in _context(nouns, i, window_size):
             for cat in candidates:

@@ -69,10 +69,6 @@ def format_pct(value: Fraction | None) -> str:
     return f"{tenths // 10}.{tenths % 10}"
 
 
-def _file_of(t: Taxonomy, synset: str) -> str:
-    return t.synsets[synset].lexfile
-
-
 def score(
     t: Taxonomy,
     assignments: Sequence[Assignment],
@@ -115,7 +111,7 @@ def score(
         elif level is Level.SENSE:
             hit = gold_synset in a.senses
         else:
-            hit = key.lexfile in {_file_of(t, s) for s in a.senses}
+            hit = key.lexfile in {t.lexfile_of(s) for s in a.senses}
         correct += int(hit)
     return EvalReport(
         level=level,

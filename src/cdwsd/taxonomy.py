@@ -1,32 +1,33 @@
 """Noun taxonomy: loading, validation, and subhierarchy metrics.
 
-``load_taxonomy`` checks each TIF record and builds the Taxonomy, whose
-constructor indexes the records that function validated.  While it
-indexes, the constructor checks the two invariants that span records:
-no sense key names two synsets, and hypernym edges form no cycle.
-The taxonomy is a DAG of synsets connected by hypernym (is-a) edges and,
-optionally, meronym (whole-part) edges.  Hypernym edges must be acyclic;
-once meronym edges are folded in as additional parent->child links the
-combined graph may contain cycles, so every traversal here uses a visited
-set.  Height is the longest downward path through the condensation of
-the downward graph, where a strongly connected component of k synsets
-spans k - 1 edges; it is the plain longest path wherever no cycle can be
-reached.  One pass per load peels the downward graph of the relation mode
-from its leaves and gives every peeled concept its height.  Over the
-concepts left unpeeled, which can reach a cycle, one linear component pass
-rejects a hypernym cycle and a second gives them their heights.  At
-load the synsets are numbered in ascending id order, so integer order is
-string order, and every traversal runs over int adjacency tuples; the
-public API takes and returns string ids.  The distance search follows
-edges in either direction.  That graph is nearly a tree, so its first
-call peels the trees that hang off the graph's 2-core (Seidman 1983), and
-contracts the core's chains of degree-2 nodes into weighted edges between
-branch nodes.  Later calls search only that branch graph, with a bucket
-queue (Dial 1969); the core-fringe split is that of Akiba, Sommer and
-Kawarabayashi 2012, with trees as the fringe.  A loaded Taxonomy is
-immutable; metric queries, the peel and the branch graph are built on
-first use with single-assignment semantics, and are safe to share across
-threads.
+``load_taxonomy`` indexes a TIF stream with no object per synset.  Its
+parse keeps flat columns: each S record's lexfile and sense keys by id,
+and each edge line.  The Taxonomy constructor numbers the ids once, in
+ascending order, so integer order is string order, and builds every index
+from the columns.  It checks the invariants that span records in order:
+every edge names a defined synset, no sense key names two synsets, and
+hypernym edges form no cycle.  The taxonomy is a DAG of synsets connected
+by hypernym (is-a) edges and, optionally, meronym (whole-part) edges.
+Hypernym edges must be acyclic; once meronym edges are folded in as
+additional parent->child links the combined graph may contain cycles, so
+every traversal here uses a visited set.  Height is the longest downward
+path through the condensation of the downward graph, where a strongly
+connected component of k synsets spans k - 1 edges; it is the plain
+longest path wherever no cycle can be reached.  One pass per load peels
+the downward graph of the relation mode from its leaves and gives every
+peeled concept its height.  Over the concepts left unpeeled, which can
+reach a cycle, one linear component pass rejects a hypernym cycle and a
+second gives them their heights.  Every traversal runs over the int
+adjacency; the public API takes and returns string ids.  The distance
+search follows edges in either direction.  That graph is nearly a tree, so
+its first call peels the trees that hang off the graph's 2-core (Seidman
+1983), and contracts the core's chains of degree-2 nodes into weighted
+edges between branch nodes.  Later calls search only that branch graph,
+with a bucket queue (Dial 1969); the core-fringe split is that of Akiba,
+Sommer and Kawarabayashi 2012, with trees as the fringe.  A loaded
+Taxonomy is immutable; metric queries, the peel and the branch graph are
+built on first use with single-assignment semantics, and are safe to share
+across threads.
 
 Input format (TIF, "taxonomy interchange format"): line-oriented UTF-8,
 tab-separated, ``#`` starts a comment line.
@@ -42,6 +43,7 @@ appear later in the stream but must resolve by end of input.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import IO, AbstractSet, Iterable, Iterator, Mapping, Sequence
 
@@ -67,15 +69,8 @@ class TaxonomyError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True, slots=True)
-class Synset:
-    """One concept: a set of (lemma, lex_id) pairs under a lexicographer file."""
-
-    id: str
-    lexfile: str
-    lemmas: tuple[tuple[str, int], ...]
-    hypernym_ids: tuple[str, ...] = ()
-    meronym_ids: tuple[str, ...] = ()
+#: A sense key: (lemma, lexfile, lex_id), the lemma in lower case.
+_Key = tuple[str, str, int]
 
 
 @dataclass(frozen=True)
@@ -133,9 +128,13 @@ def solve_nhyp(descendants: int, height: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def _sorted_unique(items: Sequence) -> tuple:
-    """``items`` sorted and deduplicated, as a tuple."""
-    return tuple(items) if len(items) < 2 else tuple(sorted(set(items)))
+def _grouped(keys: Iterable[int], n: int) -> list[tuple[int, ...]]:
+    """Each head's tails, indexed by head, from ``keys`` ``head * n + tail``
+    in ascending order; a head with no key gets ()."""
+    groups: list[tuple[int, ...]] = [()] * n
+    for head, run in itertools.groupby(keys, n.__rfloordiv__):  # key // n
+        groups[head] = tuple(map(n.__rmod__, run))  # key % n
+    return groups
 
 
 def _reach(starts: Iterable[int], adjacency: Sequence[Sequence[int]]) -> set[int]:
@@ -302,51 +301,64 @@ def _branch_graph(adjacency: Sequence[Sequence[int]]) -> _BranchGraph:
 class Taxonomy:
     """Immutable noun taxonomy with memoized metric queries.
 
-    Built by ``load_taxonomy`` from the records it validated, in file order.
+    Built by ``load_taxonomy`` from the numbered lines of a TIF stream.
     """
 
-    def __init__(self, synsets: dict[str, Synset], relation_mode: RelationMode):
+    def __init__(self, lines: Iterable[tuple[int, str]], relation_mode: RelationMode):
         self.relation_mode = relation_mode
-        self.synsets = synsets
-        self._sense_keys: dict[tuple[str, str, int], str] = {}
-        lemma_acc: dict[str, list[str]] = {}
-        for syn in synsets.values():
-            for lemma, lex_id in syn.lemmas:
-                key = (lemma, syn.lexfile, lex_id)
-                if key in self._sense_keys:
-                    raise TaxonomyError(
-                        f"duplicate sense key {lemma}%{syn.lexfile}.{lex_id} "
-                        f"in {self._sense_keys[key]!r} and {syn.id!r}"
-                    )
-                self._sense_keys[key] = syn.id
-                lemma_acc.setdefault(lemma, []).append(syn.id)
-        self.lemma_index = {lemma: _sorted_unique(ids) for lemma, ids in lemma_acc.items()}
-
+        records, edges = _parse_tif(lines)
         # Node numbers follow ascending id order, so integer order is string
         # order: sorted adjacency, tie-breaks and the lowest id on a cycle
         # come out in string order.
-        self._ids: list[str] = sorted(self.synsets)
-        num = self._num = {sid: i for i, sid in enumerate(self._ids)}
-        self.roots: tuple[str, ...] = tuple(
-            sid for sid in self._ids if not self.synsets[sid].hypernym_ids
-        )
+        ids = self._ids = sorted(records)
+        n = len(ids)
+        num = self._num = dict(zip(ids, range(n)))
+
+        # Each edge as one int, lower node * n + upper node, where the lower
+        # node is the hyponym or the part; the sets drop repeated edges.
+        try:
+            hyper_keys = {num[child] * n + num[parent] for _, child, parent in edges["H"]}
+            mero_keys = {num[part] * n + num[whole] for _, whole, part in edges["M"]}
+        except KeyError:
+            # The first edge in file order with an undefined end, the child
+            # (or whole) checked before the parent (or part).
+            lineno, sid = next(
+                (lineno, sid) for lineno, *ends in sorted(edges["H"] + edges["M"])
+                for sid in ends if sid not in num
+            )
+            raise TaxonomyError(f"edge references unknown synset {sid!r}", lineno) from None
+        # The edge lines are the largest part of the parse; loading peaks
+        # while the adjacency is built, so free them first.
+        del edges
+
+        # Sense keys and each lemma's synsets, in file order; then the
+        # synsets of a lemma are sorted, each once.
+        self._sense_keys: dict[_Key, str] = {}
+        index: dict[str, tuple[str, ...]] = {}
+        for sid, (_, keys) in records.items():
+            for key in keys:
+                if key in self._sense_keys:
+                    lemma, lexfile, lex_id = key
+                    raise TaxonomyError(
+                        f"duplicate sense key {lemma}%{lexfile}.{lex_id} "
+                        f"in {self._sense_keys[key]!r} and {sid!r}"
+                    )
+                self._sense_keys[key] = sid
+                index[key[0]] = index.get(key[0], ()) + (sid,)
+        for lemma, sids in index.items():
+            if len(sids) > 1:
+                index[lemma] = tuple(sorted(set(sids)))
+        self.lemma_index = index
+        self._lexfiles = [records[sid][0] for sid in ids]
+        self._keys = [records[sid][1] for sid in ids]
+        del records
 
         # Downward (parent -> child) and upward adjacency under the mode,
-        # indexed by node number.
-        down: list[list[int]] = [[] for _ in self._ids]
-        up: list[list[int]] = [[] for _ in self._ids]
-        for sid, syn in self.synsets.items():
-            node = num[sid]
-            for parent in syn.hypernym_ids:
-                down[num[parent]].append(node)
-                up[node].append(num[parent])
-            if self.relation_mode.includes_meronymy:
-                for part in syn.meronym_ids:
-                    down[node].append(num[part])
-                    up[num[part]].append(node)
-        self._down = [_sorted_unique(kids) for kids in down]
-        self._up = [_sorted_unique(parents) for parents in up]
-        del down, up  # free the lists before the peel, where loading peaks
+        # indexed by node number, each tuple sorted.
+        ordered = sorted(hyper_keys | mero_keys if relation_mode.includes_meronymy else hyper_keys)
+        self._up = _grouped(ordered, n)
+        self._down = _grouped(sorted([key % n * n + key // n for key in ordered]), n)
+        del ordered, mero_keys
         # Link, anchor and depth of the trees hanging off the 2-core, then
         # the core's branch graph; built by the first ``distances`` call
         # (see ``_core_and_fringe`` and ``_branch_graph``).
@@ -357,8 +369,8 @@ class Taxonomy:
         # also visits the parents it appends.  A node never removed can reach
         # a downward cycle; its height so far is the longest path through a
         # peeled child.
-        heights = self._heights = [0] * len(self._ids)
-        left = [len(kids) for kids in self._down]
+        heights = self._heights = [0] * n
+        left = list(map(len, self._down))
         peeled = [node for node, count in enumerate(left) if not count]
         for node in peeled:
             height = heights[node] + 1
@@ -373,13 +385,16 @@ class Taxonomy:
         # Taken in order of their lowest node, the first cyclic component of
         # the hypernym edges among them holds the lowest id on a cycle.
         unpeeled = [node for node, count in enumerate(left) if count]
-        hyper_up = {
-            node: [p for p in map(num.get, self.synsets[self._ids[node]].hypernym_ids) if left[p]]
-            for node in unpeeled
-        }
+        hyper_up: dict[int, list[int]] = {node: [] for node in unpeeled}
+        for key in hyper_keys if unpeeled else ():
+            lower, upper = divmod(key, n)
+            if left[lower] and left[upper]:
+                hyper_up[lower].append(upper)
         for scc in sorted(map(sorted, _components(unpeeled, hyper_up))):
             if len(scc) > 1 or scc[0] in hyper_up[scc[0]]:
-                raise TaxonomyError(f"hypernym cycle through {self._ids[scc[0]]!r}")
+                raise TaxonomyError(f"hypernym cycle through {ids[scc[0]]!r}")
+        has_parent = {key // n for key in hyper_keys}
+        self.roots = tuple(sid for node, sid in enumerate(ids) if node not in has_parent)
 
         # Heights over the condensation, sinks first: a component of k nodes
         # adds k - 1 to the longest path that leaves it, through a peeled
@@ -402,7 +417,11 @@ class Taxonomy:
     # -- queries -----------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.synsets)
+        return len(self._ids)
+
+    def __iter__(self) -> Iterator[str]:
+        """Synset ids, ascending."""
+        return iter(self._ids)
 
     def _node(self, concept: str) -> int:
         try:
@@ -428,14 +447,17 @@ class Taxonomy:
         """Synset id joined through (lemma, lexfile, lex_id), or None."""
         return self._sense_keys.get((lemma.lower(), lexfile, lex_id))
 
+    def lexfile_of(self, concept: str) -> str:
+        """The lexicographer file of ``concept``."""
+        return self._lexfiles[self._node(concept)]
+
     def sense_key_of(self, lemma: str, concept: str) -> str | None:
         """Render the ``lexfile.lex_id`` key that names ``concept`` for ``lemma``."""
-        self._node(concept)
-        syn = self.synsets[concept]
-        lex_ids = sorted(lid for lem, lid in syn.lemmas if lem == lemma.lower())
+        node = self._node(concept)
+        lex_ids = [lex_id for name, _, lex_id in self._keys[node] if name == lemma.lower()]
         if not lex_ids:
             return None
-        return f"{syn.lexfile}.{lex_ids[0]}"
+        return f"{self._lexfiles[node]}.{min(lex_ids)}"
 
     def children_of(self, concept: str) -> tuple[str, ...]:
         return tuple(map(self._ids.__getitem__, self._down[self._node(concept)]))
@@ -579,28 +601,28 @@ class Taxonomy:
         H the maximum height over the roots.
         """
         if self._global_nhyp is None:
-            if not self.synsets:
+            if not self._ids:
                 raise TaxonomyError("empty taxonomy")
             max_height = max((self._heights[self._num[r]] for r in self.roots), default=0)
-            self._global_nhyp = solve_nhyp(len(self.synsets), max_height)
+            self._global_nhyp = solve_nhyp(len(self._ids), max_height)
         return self._global_nhyp
 
 
 # -- TIF parsing -----------------------------------------------------------
 
 
-def _parse_lemma_field(text: str, lineno: int) -> tuple[tuple[str, int], ...]:
-    """The (lemma, lex_id) pairs of an S record's lemma field; raises, naming
-    the first bad entry, if any entry is malformed."""
-    lemmas = []
+def _parse_lemma_field(text: str, lexfile: str, lineno: int) -> tuple[_Key, ...]:
+    """The sense keys of an S record's lemma field; raises, naming the first
+    bad entry, if any entry is malformed."""
+    keys = []
     for chunk in text.split(","):
         lemma, sep, lex = chunk.rpartition(":")
         if not sep or not lemma:
             raise TaxonomyError(f"bad lemma entry {chunk!r}", lineno)
         if not lex.isdecimal():
             raise TaxonomyError(f"lex_id must be a non-negative integer in {chunk!r}", lineno)
-        lemmas.append((lemma.lower(), int(lex)))
-    return tuple(lemmas)
+        keys.append((lemma.lower(), lexfile, int(lex)))
+    return tuple(keys)
 
 
 def read_lines(stream: IO) -> Iterator[tuple[int, str]]:
@@ -617,21 +639,13 @@ def read_lines(stream: IO) -> Iterator[tuple[int, str]]:
         yield lineno, raw.rstrip("\n").rstrip("\r")
 
 
-def load_taxonomy(stream: IO, relation_mode: RelationMode = RelationMode.HYPERNYMY) -> Taxonomy:
-    """Parse a TIF stream (bytes or text) into a validated Taxonomy.
-
-    Raises TaxonomyError for a malformed record or a duplicate synset id,
-    naming its line; for a dangling edge reference, naming the first edge
-    in file order that holds one; and, with no line, for duplicate
-    (lemma, lexfile, lex_id) sense keys and hypernym cycles.
-    """
-    records: dict[str, tuple[str, tuple[tuple[str, int], ...]]] = {}
-    edges: dict[str, dict[str, list[str]]] = {"H": {}, "M": {}}
-    # Line of the first edge naming each id, child before parent: the first
-    # of these ids that no S record defines is the one the error names.
-    first_edge: dict[str, int] = {}
-
-    for lineno, line in read_lines(stream):
+def _parse_tif(lines: Iterable[tuple[int, str]]) -> tuple[dict, dict]:
+    """Each S record's lexfile and sense keys by id, in file order, and the
+    line number and two ids of each H and M line; raises for a malformed
+    line or a duplicate id."""
+    records: dict[str, tuple[str, tuple[_Key, ...]]] = {}
+    edges: dict[str, list[tuple[int, str, str]]] = {"H": [], "M": []}
+    for lineno, line in lines:
         # The two well-formed shapes first; neither can be blank or a
         # comment, so every other line is checked for those before it fails.
         fields = line.split("\t")
@@ -640,15 +654,12 @@ def load_taxonomy(stream: IO, relation_mode: RelationMode = RelationMode.HYPERNY
             _, sid, lexfile, lemma_field = fields
             if sid in records:
                 raise TaxonomyError(f"duplicate synset id {sid!r}", lineno)
-            lemmas = _parse_lemma_field(lemma_field, lineno)
+            keys = _parse_lemma_field(lemma_field, lexfile, lineno)
             if not lexfile:
                 raise TaxonomyError(f"synset {sid!r} has empty lexfile", lineno)
-            records[sid] = (lexfile, lemmas)
+            records[sid] = (lexfile, keys)
         elif kind in edges and len(fields) == 3:
-            _, a, b = fields
-            edges[kind].setdefault(a, []).append(b)
-            first_edge.setdefault(a, lineno)
-            first_edge.setdefault(b, lineno)
+            edges[kind].append((lineno, fields[1], fields[2]))
         elif not line.strip() or line.lstrip().startswith("#"):
             continue
         elif kind == "S":
@@ -657,21 +668,15 @@ def load_taxonomy(stream: IO, relation_mode: RelationMode = RelationMode.HYPERNY
             raise TaxonomyError(f"{kind} record needs 3 fields, got {len(fields)}", lineno)
         else:
             raise TaxonomyError(f"unknown record type {kind!r}", lineno)
+    return records, edges
 
-    for sid, lineno in first_edge.items():
-        if sid not in records:
-            raise TaxonomyError(f"edge references unknown synset {sid!r}", lineno)
 
-    hypernyms, meronyms = edges["H"], edges["M"]
-    synsets: dict[str, Synset] = {}
-    for sid, (lexfile, lemmas) in records.items():
-        synsets[sid] = Synset(
-            sid,
-            lexfile,
-            lemmas,
-            _sorted_unique(hypernyms.get(sid, ())),
-            _sorted_unique(meronyms.get(sid, ())),
-        )
-    # free them before indexing, where loading peaks
-    del records, edges, hypernyms, meronyms, first_edge
-    return Taxonomy(synsets, relation_mode)
+def load_taxonomy(stream: IO, relation_mode: RelationMode = RelationMode.HYPERNYMY) -> Taxonomy:
+    """Parse a TIF stream (bytes or text) into a validated Taxonomy.
+
+    Raises TaxonomyError for a malformed record or a duplicate synset id,
+    naming its line; for a dangling edge reference, naming the first edge
+    in file order that holds one; and, with no line, for duplicate
+    (lemma, lexfile, lex_id) sense keys and hypernym cycles.
+    """
+    return Taxonomy(read_lines(stream), relation_mode)

@@ -1,24 +1,25 @@
 """Shared fixtures and independent brute-force oracles.
 
-The oracles deliberately avoid the library's precomputed indexes and
-memoized traversals: adjacency is rebuilt from the raw Synset records and
-reachability/height/nhyp are recomputed from scratch, so agreement with
-the optimized code is meaningful.
+The oracles deliberately avoid the library's indexes and memoized
+traversals: a reference loader reads the TIF text record by record, the
+oracles rebuild adjacency from its records, and reachability, height and
+nhyp are recomputed from scratch, so agreement with the optimized code is
+meaningful.
 """
 
 from __future__ import annotations
 
 import io
 import random
+from dataclasses import dataclass
 from pathlib import Path
 
+from cdwsd.corpus import SenseKey
 from cdwsd.density import DensityParams, NhypMode
 from cdwsd.taxonomy import (
     RelationMode,
-    Synset,
     Taxonomy,
     TaxonomyError,
-    _parse_lemma_field,
     load_taxonomy,
     read_lines,
 )
@@ -35,6 +36,10 @@ def build_taxonomy(text: str, mode: RelationMode = RelationMode.HYPERNYMY) -> Ta
 def load_data_taxonomy(name: str, mode: RelationMode = RelationMode.HYPERNYMY) -> Taxonomy:
     with open(DATA / name, "r", encoding="utf-8") as fh:
         return load_taxonomy(fh, mode)
+
+
+def load_data_reference(name: str, mode: RelationMode = RelationMode.HYPERNYMY) -> Reference:
+    return reference_taxonomy((DATA / name).read_text(encoding="utf-8"), mode)
 
 
 def random_tif(
@@ -197,15 +202,70 @@ def random_taxonomy(
     return build_taxonomy(random_tif(rng, max_synsets, meronymy, min_synsets), mode)
 
 
-def reference_load_taxonomy(stream, relation_mode=RelationMode.HYPERNYMY) -> Taxonomy:
+def random_case(
+    rng: random.Random,
+    max_synsets: int = 200,
+    meronymy: bool = False,
+    min_synsets: int = 1,
+) -> tuple[Taxonomy, Reference]:
+    """``random_taxonomy`` and the reference loader's reading of its text."""
+    mode = RelationMode.HYPERNYMY_MERONYMY if meronymy else RelationMode.HYPERNYMY
+    text = random_tif(rng, max_synsets, meronymy, min_synsets)
+    return build_taxonomy(text, mode), reference_taxonomy(text, mode)
+
+
+@dataclass(frozen=True)
+class Record:
+    """One S record and the edges that start at it, as the TIF text has them."""
+
+    lexfile: str
+    lemmas: tuple[tuple[str, int], ...]
+    hypernyms: tuple[str, ...]  # sorted, each once
+    meronyms: tuple[str, ...]  # the parts, sorted, each once
+
+
+@dataclass(frozen=True)
+class Reference:
+    """A TIF as the reference loader reads it: its records by id, in file
+    order, and the relation mode the oracles follow."""
+
+    records: dict[str, Record]
+    relation_mode: RelationMode
+
+    def __iter__(self):
+        return iter(sorted(self.records))
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+
+def reference_taxonomy(text: str, mode: RelationMode = RelationMode.HYPERNYMY) -> Reference:
+    return reference_load_taxonomy(io.StringIO(text), mode)
+
+
+def reference_lemmas(field: str, lineno: int) -> tuple[tuple[str, int], ...]:
+    lemmas = []
+    for chunk in field.split(","):
+        cut = chunk.rfind(":")
+        if cut < 1:
+            raise TaxonomyError(f"bad lemma entry {chunk!r}", lineno)
+        if not chunk[cut + 1 :].isdecimal():
+            raise TaxonomyError(f"lex_id must be a non-negative integer in {chunk!r}", lineno)
+        lemmas.append((chunk[:cut].lower(), int(chunk[cut + 1 :])))
+    return tuple(lemmas)
+
+
+def reference_load_taxonomy(stream, relation_mode=RelationMode.HYPERNYMY) -> Reference:
     """A plain record-by-record TIF loader: each line is classified, split
-    and checked in turn, and each synset's edges are sorted and deduped.
+    and checked in turn, then the checks that span records run in the
+    library's order: dangling edges, duplicate sense keys, hypernym cycles.
 
     The reference for the differential parser test: ``load_taxonomy`` must
-    raise the same error or build the same taxonomy on every input.
+    raise the same error on every input, or answer every query as these
+    records say.
     """
     records: dict[str, tuple[str, tuple[tuple[str, int], ...]]] = {}
-    edges: dict[str, dict[str, list[str]]] = {"H": {}, "M": {}}
+    edges: dict[str, dict[str, set[str]]] = {"H": {}, "M": {}}
     first_edge: dict[str, int] = {}
     for lineno, line in read_lines(stream):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -218,7 +278,7 @@ def reference_load_taxonomy(stream, relation_mode=RelationMode.HYPERNYMY) -> Tax
             _, sid, lexfile, lemma_field = fields
             if sid in records:
                 raise TaxonomyError(f"duplicate synset id {sid!r}", lineno)
-            lemmas = _parse_lemma_field(lemma_field, lineno)
+            lemmas = reference_lemmas(lemma_field, lineno)
             if not lexfile:
                 raise TaxonomyError(f"synset {sid!r} has empty lexfile", lineno)
             records[sid] = (lexfile, lemmas)
@@ -226,7 +286,7 @@ def reference_load_taxonomy(stream, relation_mode=RelationMode.HYPERNYMY) -> Tax
             if len(fields) != 3:
                 raise TaxonomyError(f"{kind} record needs 3 fields, got {len(fields)}", lineno)
             _, a, b = fields
-            edges[kind].setdefault(a, []).append(b)
+            edges[kind].setdefault(a, set()).add(b)
             first_edge.setdefault(a, lineno)
             first_edge.setdefault(b, lineno)
         else:
@@ -234,43 +294,94 @@ def reference_load_taxonomy(stream, relation_mode=RelationMode.HYPERNYMY) -> Tax
     for sid, lineno in first_edge.items():
         if sid not in records:
             raise TaxonomyError(f"edge references unknown synset {sid!r}", lineno)
-    synsets = {}
+    holder: dict[tuple[str, str, int], str] = {}
     for sid, (lexfile, lemmas) in records.items():
-        hypernym_ids, meronym_ids = (tuple(sorted(set(edges[k].get(sid, ())))) for k in "HM")
-        synsets[sid] = Synset(sid, lexfile, lemmas, hypernym_ids, meronym_ids)
-    return Taxonomy(synsets, relation_mode)
+        for lemma, lex_id in lemmas:
+            key = (lemma, lexfile, lex_id)
+            if key in holder:
+                raise TaxonomyError(
+                    f"duplicate sense key {lemma}%{lexfile}.{lex_id} in {holder[key]!r} and {sid!r}"
+                )
+            holder[key] = sid
+    hypernyms = edges["H"]
+    for sid in sorted(records):
+        if sid in brute_bfs_reach(hypernyms, hypernyms.get(sid, ())):
+            raise TaxonomyError(f"hypernym cycle through {sid!r}")
+    return Reference(
+        {
+            sid: Record(lexfile, lemmas, *(tuple(sorted(edges[k].get(sid, ()))) for k in "HM"))
+            for sid, (lexfile, lemmas) in records.items()
+        },
+        relation_mode,
+    )
+
+
+def gold_key(ref: Reference, sense: str, lemma: str) -> SenseKey:
+    """The gold key naming ``sense`` for ``lemma``: its first lex_id for it."""
+    rec = ref.records[sense]
+    return SenseKey(rec.lexfile, next(lid for name, lid in rec.lemmas if name == lemma))
+
+
+def brute_bfs_reach(adjacency: dict[str, set[str]], starts) -> set[str]:
+    """Every node reachable from ``starts`` along ``adjacency``, starts included."""
+    seen = set(starts)
+    frontier = list(seen)
+    while frontier:
+        for nxt in adjacency.get(frontier.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
+def assert_matches_reference(t: Taxonomy, ref: Reference) -> None:
+    """Every query of ``t`` answers as the reference's records say, and its
+    numbered adjacency and heights equal those rebuilt from them."""
+    ids = list(ref)
+    assert list(t) == ids and len(t) == len(ids)
+    assert t.relation_mode is ref.relation_mode
+    down = brute_children(ref)
+    lemma_index: dict[str, set[str]] = {}
+    for sid, rec in ref.records.items():
+        assert t.lexfile_of(sid) == rec.lexfile
+        assert t.children_of(sid) == tuple(sorted(down[sid]))
+        for lemma, lex_id in rec.lemmas:
+            lemma_index.setdefault(lemma, set()).add(sid)
+            assert t.resolve_sense_key(lemma, rec.lexfile, lex_id) == sid
+            lowest = min(lid for name, lid in rec.lemmas if name == lemma)
+            assert t.sense_key_of(lemma, sid) == f"{rec.lexfile}.{lowest}"
+    assert t.lemma_index == {lemma: tuple(sorted(sids)) for lemma, sids in lemma_index.items()}
+    for lemma, senses in t.lemma_index.items():
+        assert t.senses_of(lemma) == senses
+    assert t.roots == tuple(sid for sid in ids if not ref.records[sid].hypernyms)
+    number = {sid: i for i, sid in enumerate(ids)}
+    up = {sid: {p for p, kids in down.items() if sid in kids} for sid in ids}
+    assert t._down == [tuple(sorted(number[k] for k in down[sid])) for sid in ids]
+    assert t._up == [tuple(sorted(number[p] for p in up[sid])) for sid in ids]
+    _, heights = brute_condensation(ref)
+    assert t._heights == [heights[sid] for sid in ids]
 
 
 # -- brute-force oracles -----------------------------------------------------
 
 
-def brute_children(t: Taxonomy) -> dict[str, set[str]]:
-    down: dict[str, set[str]] = {sid: set() for sid in t.synsets}
-    for syn in t.synsets.values():
-        for parent in syn.hypernym_ids:
-            down[parent].add(syn.id)
-        if t.relation_mode is RelationMode.HYPERNYMY_MERONYMY:
-            for part in syn.meronym_ids:
-                down[syn.id].add(part)
+def brute_children(ref: Reference) -> dict[str, set[str]]:
+    down: dict[str, set[str]] = {sid: set() for sid in ref.records}
+    for sid, rec in ref.records.items():
+        for parent in rec.hypernyms:
+            down[parent].add(sid)
+        if ref.relation_mode is RelationMode.HYPERNYMY_MERONYMY:
+            down[sid].update(rec.meronyms)
     return down
 
 
-def brute_reachable(t: Taxonomy, concept: str) -> set[str]:
-    down = brute_children(t)
-    seen = {concept}
-    frontier = [concept]
-    while frontier:
-        node = frontier.pop()
-        for child in down[node]:
-            if child not in seen:
-                seen.add(child)
-                frontier.append(child)
-    return seen
+def brute_reachable(ref: Reference, concept: str) -> set[str]:
+    return brute_bfs_reach(brute_children(ref), (concept,))
 
 
-def brute_height(t: Taxonomy, concept: str) -> int:
+def brute_height(ref: Reference, concept: str) -> int:
     """Longest downward path by memoized recursion; inputs must be acyclic."""
-    down = brute_children(t)
+    down = brute_children(ref)
     memo: dict[str, int] = {}
 
     def depth(node: str) -> int:
@@ -279,6 +390,30 @@ def brute_height(t: Taxonomy, concept: str) -> int:
         return memo[node]
 
     return depth(concept)
+
+
+def brute_condensation(ref: Reference) -> tuple[dict[str, frozenset[str]], dict[str, int]]:
+    """Each concept's component and height over the condensation, by brute force.
+
+    Two concepts share a component when each reaches the other.  A component
+    of k concepts spans k - 1 edges above the longest path that leaves it,
+    found by memoized recursion over the components.
+    """
+    down = brute_children(ref)
+    reach = {c: brute_bfs_reach(down, (c,)) for c in ref.records}
+    component = {c: frozenset(d for d in reach[c] if c in reach[d]) for c in ref.records}
+    memo: dict[frozenset[str], int] = {}
+
+    def height(comp: frozenset[str]) -> int:
+        if comp not in memo:
+            memo[comp] = len(comp) - 1 + max(
+                (1 + height(component[kid]) for node in comp for kid in down[node]
+                 if kid not in comp),
+                default=0,
+            )
+        return memo[comp]
+
+    return component, {c: height(component[c]) for c in ref.records}
 
 
 class DistanceCache:
@@ -327,7 +462,7 @@ def brute_cd(nhyp: float, m: int, descendants: int, exponent: float = 0.20) -> f
 
 
 def brute_score_all(
-    t: Taxonomy,
+    ref: Reference,
     window: list[tuple[str, set[str]]],
     params: DensityParams,
     dedup: bool = True,
@@ -338,12 +473,12 @@ def brute_score_all(
     """
     global_nhyp = 0.0
     if params.nhyp_mode is NhypMode.GLOBAL:
-        roots = [sid for sid, syn in t.synsets.items() if not syn.hypernym_ids]
-        big_h = max((brute_height(t, r) for r in roots), default=0)
-        global_nhyp = brute_nhyp(len(t.synsets), big_h)
+        roots = [sid for sid, rec in ref.records.items() if not rec.hypernyms]
+        big_h = max((brute_height(ref, r) for r in roots), default=0)
+        global_nhyp = brute_nhyp(len(ref), big_h)
     scores: dict[str, tuple[int, float]] = {}
-    for concept in t.synsets:
-        reach = brute_reachable(t, concept)
+    for concept in ref.records:
+        reach = brute_reachable(ref, concept)
         pairs = set()
         for idx, (lemma, senses) in enumerate(window):
             key = lemma if dedup else idx
@@ -355,7 +490,7 @@ def brute_score_all(
             scores[concept] = (0, 0.0)
             continue
         descendants = len(reach)
-        height = brute_height(t, concept)
+        height = brute_height(ref, concept)
         nhyp = (
             brute_nhyp(descendants, height)
             if params.nhyp_mode is NhypMode.LOCAL

@@ -49,9 +49,13 @@ from helpers import (
     DistanceCache,
     brute_score_all,
     build_taxonomy,
+    gold_key,
+    load_data_reference,
     load_data_taxonomy,
+    random_case,
     random_taxonomy,
     random_window,
+    reference_taxonomy,
 )
 
 LOCAL = DensityParams(nhyp_mode=NhypMode.LOCAL)
@@ -67,14 +71,14 @@ def _acceptance_corpus():
     cases = []
     for seed in range(100):
         rng = random.Random(1000 + seed)
-        t = random_taxonomy(rng, max_synsets=200, min_synsets=2, meronymy=False)
-        cases.append((rng, t))
+        t, ref = random_case(rng, max_synsets=200, min_synsets=2, meronymy=False)
+        cases.append((rng, t, ref))
     return cases
 
 
 def test_p1_density_oracle_brute_force():
     start = time.monotonic()
-    for rng, t in _acceptance_corpus():
+    for rng, t, ref in _acceptance_corpus():
         window = random_window(rng, t)
         mode = rng.choice([NhypMode.LOCAL, NhypMode.GLOBAL])
         dedup = rng.random() < 0.5
@@ -88,7 +92,7 @@ def test_p1_density_oracle_brute_force():
             s.concept: (s.marks, s.cd)
             for s in score_candidates(t, lattice, params, dedup_by_lemma=dedup)
         }
-        expected = brute_score_all(t, window, params, dedup)
+        expected = brute_score_all(ref, window, params, dedup)
         marked = {c for c, (m, _) in expected.items() if m > 0}
         assert set(got) == marked
         for concept in marked:
@@ -142,8 +146,8 @@ class TestP2FormulaIdentities:
 
 def test_p3_nhyp_solver_residual_and_fixtures():
     # every node of the random corpus meets the residual tolerance
-    for _, t in _acceptance_corpus():
-        for concept in t.synsets:
+    for _, t, _ in _acceptance_corpus():
+        for concept in t:
             m = t.subhierarchy_metrics(concept)
             residual = abs(geometric_power_sum(m.local_nhyp, m.height) - m.descendants)
             assert residual < NHYP_TOLERANCE
@@ -174,6 +178,7 @@ def test_p4_worked_example():
 
 def test_p5_evaluation_identities():
     t = load_data_taxonomy("two_clusters.tif")
+    ref = load_data_reference("two_clusters.tif")
     rng = random.Random(77)
     lemmas = sorted(t.lemma_index)
     for _ in range(40):
@@ -182,9 +187,7 @@ def test_p5_evaluation_identities():
             lemma = rng.choice(lemmas)
             senses = t.senses_of(lemma)
             gold_sense = rng.choice(senses)
-            syn = t.synsets[gold_sense]
-            lex_id = next(lid for lem, lid in syn.lemmas if lem == lemma)
-            gold.append(SenseKey(syn.lexfile, lex_id))
+            gold.append(gold_key(ref, gold_sense, lemma))
             occ = NounOccurrence(i, lemma)
             if rng.random() < 0.2:
                 assignments.append(Assignment(occ, Outcome.NONE, (), Method.DENSITY))
@@ -214,7 +217,7 @@ def test_p5_evaluation_identities():
         assert r.precision == 1 and r.coverage == 1
 
 
-def _calibration_taxonomy():
+def _calibration_tif():
     # lemmas w1..w5 with polysemy equal to the suffix, spread over 3 files
     lines = []
     files = ["noun.act", "noun.group", "noun.state"]
@@ -223,11 +226,12 @@ def _calibration_taxonomy():
         for k in range(p):
             lines.append(f"S\tq{sid:03d}\t{files[k % 3]}\tw{p}:{k // 3}")
             sid += 1
-    return build_taxonomy("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def test_p6_random_baseline_calibration():
-    t = _calibration_taxonomy()
+    t = build_taxonomy(_calibration_tif())
+    ref = reference_taxonomy(_calibration_tif())
     rng = random.Random(314)
     lemmas = sorted(t.lemma_index)
     nouns, gold = [], []
@@ -235,9 +239,7 @@ def test_p6_random_baseline_calibration():
         lemma = rng.choice(lemmas)
         nouns.append(NounOccurrence(i, lemma))
         gold_sense = rng.choice(t.senses_of(lemma))
-        syn = t.synsets[gold_sense]
-        lex_id = next(lid for lem, lid in syn.lemmas if lem == lemma)
-        gold.append(SenseKey(syn.lexfile, lex_id))
+        gold.append(gold_key(ref, gold_sense, lemma))
     expectation = analytic_random_expectation(t, nouns, gold)
     picks = random_baseline(nouns, t, seed=2718)
     for level in Level:

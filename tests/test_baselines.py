@@ -50,6 +50,7 @@ from helpers import (
     load_data_taxonomy,
     random_taxonomy,
     random_tif,
+    reference_taxonomy,
 )
 
 SALIENCE_TIF = """\
@@ -98,18 +99,18 @@ def with_twins(text, rng, every=False):
     """``text`` plus a twin for some leaf senses (all of them with
     ``every``): ``twin.<id>`` has the leaf's lexfile, first lemma and
     parents, so it is as far as the leaf from every other synset."""
-    t = build_taxonomy(text)
-    parts = {part for syn in t.synsets.values() for part in syn.meronym_ids}
+    records = reference_taxonomy(text).records
+    parts = {part for rec in records.values() for part in rec.meronyms}
+    parents = {parent for rec in records.values() for parent in rec.hypernyms}
     leaves = [
-        syn for sid, syn in sorted(t.synsets.items())
-        if syn.hypernym_ids and not syn.meronym_ids and sid not in parts
-        and not t.children_of(sid)
+        (sid, rec) for sid, rec in sorted(records.items())
+        if rec.hypernyms and not rec.meronyms and sid not in parts and sid not in parents
     ]
     lines = []
     chosen = leaves if every else rng.sample(leaves, min(len(leaves), rng.randint(1, 3)))
-    for lex_id, syn in enumerate(chosen, 1000):  # above every lex_id of the text
-        lines.append(f"S\ttwin.{syn.id}\t{syn.lexfile}\t{syn.lemmas[0][0]}:{lex_id}")
-        lines += [f"H\ttwin.{syn.id}\t{parent}" for parent in syn.hypernym_ids]
+    for lex_id, (sid, rec) in enumerate(chosen, 1000):  # above every lex_id of the text
+        lines.append(f"S\ttwin.{sid}\t{rec.lexfile}\t{rec.lemmas[0][0]}:{lex_id}")
+        lines += [f"H\ttwin.{sid}\t{parent}" for parent in rec.hypernyms]
     return text + "".join(line + "\n" for line in lines)
 
 
@@ -337,7 +338,7 @@ class TestConceptualDistance:
     def test_metric_properties(self, seed):
         rng = random.Random(seed)
         t = random_taxonomy(rng, max_synsets=25, min_synsets=3, meronymy=True)
-        ids = sorted(t.synsets)
+        ids = list(t)
         sample = [rng.choice(ids) for _ in range(6)]
         rows = {a: t.distances(a, set(sample)) for a in sample}
         for a, b in itertools.combinations(sample, 2):

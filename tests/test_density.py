@@ -29,6 +29,7 @@ from cdwsd.taxonomy import SubhierarchyMetrics
 from helpers import (
     brute_score_all,
     load_data_taxonomy,
+    random_case,
     random_taxonomy,
     random_window,
 )
@@ -181,7 +182,7 @@ class TestScoreCandidates:
     )
     def test_matches_brute_force(self, seed, mode, dedup):
         rng = random.Random(seed)
-        t = random_taxonomy(rng, max_synsets=60, min_synsets=2)
+        t, ref = random_case(rng, max_synsets=60, min_synsets=2)
         window = random_window(rng, t)
         params = DensityParams(nhyp_mode=mode)
         lattice = Lattice(
@@ -193,7 +194,7 @@ class TestScoreCandidates:
             s.concept: (s.marks, s.cd)
             for s in score_candidates(t, lattice, params, dedup_by_lemma=dedup)
         }
-        expected = brute_score_all(t, window, params, dedup)
+        expected = brute_score_all(ref, window, params, dedup)
         for concept, (m, cd) in expected.items():
             if m == 0:
                 assert concept not in got

@@ -19,7 +19,7 @@ from cdwsd.evaluation import (
     score,
 )
 
-from helpers import load_data_taxonomy
+from helpers import gold_key, load_data_reference, load_data_taxonomy
 
 
 @pytest.fixture
@@ -41,16 +41,17 @@ def partial(lemma, senses, position=0):
     )
 
 
-def key(t, sense, lemma):
-    syn = t.synsets[sense]
-    lex_id = next(lid for lem, lid in syn.lemmas if lem == lemma)
-    return SenseKey(syn.lexfile, lex_id)
+CLUSTERS = load_data_reference("two_clusters.tif")
+
+
+def key(sense, lemma):
+    return gold_key(CLUSTERS, sense, lemma)
 
 
 class TestScore:
     def test_all_correct(self, clusters):
         assignments = [full("trout", "a03"), full("guitar", "b03", 1)]
-        gold = [key(clusters, "a03", "trout"), key(clusters, "b03", "guitar")]
+        gold = [key("a03", "trout"), key("b03", "guitar")]
         r = score(clusters, assignments, gold)
         assert (r.total, r.answered, r.correct) == (2, 2, 2)
         assert r.coverage == 1 and r.precision == 1 and r.recall == 1
@@ -64,10 +65,10 @@ class TestScore:
             none_("drum", 3),
         ]
         gold = [
-            key(clusters, "a03", "trout"),
-            key(clusters, "b02", "bass"),  # wrong: system said a02
-            key(clusters, "b03", "guitar"),
-            key(clusters, "b04", "drum"),
+            key("a03", "trout"),
+            key("b02", "bass"),  # wrong: system said a02
+            key("b03", "guitar"),
+            key("b04", "drum"),
         ]
         r = score(clusters, assignments, gold)
         assert (r.total, r.answered, r.correct) == (4, 3, 2)
@@ -91,13 +92,13 @@ class TestScore:
         # assigned b02 ("bass" artifact) vs gold a02: wrong sense, wrong file;
         # assigned a02 vs gold a03's file... build a file-match-only case:
         assignments = [full("bass", "a02")]
-        gold = [key(clusters, "b02", "bass")]
+        gold = [key("b02", "bass")]
         sense_r = score(clusters, assignments, gold, Level.SENSE)
         file_r = score(clusters, assignments, gold, Level.FILE)
         assert sense_r.correct == 0 and file_r.correct == 0
         # trout assigned, gold trout: same file always
         assignments = [full("salmon", "a04")]
-        gold = [key(clusters, "a04", "salmon")]
+        gold = [key("a04", "salmon")]
         assert score(clusters, assignments, gold, Level.FILE).correct == 1
 
     def test_sense_match_implies_file_match(self, clusters):
@@ -108,7 +109,7 @@ class TestScore:
             lemma = rng.choice(lemmas)
             senses = clusters.senses_of(lemma)
             true = rng.choice(senses)
-            gold.append(key(clusters, true, lemma))
+            gold.append(key(true, lemma))
             if rng.random() < 0.2:
                 assignments.append(none_(lemma, i))
             else:
@@ -120,7 +121,7 @@ class TestScore:
 
     def test_polysemous_population_drops_monosemous(self, clusters):
         assignments = [full("trout", "a03"), full("bass", "a02", 1)]
-        gold = [key(clusters, "a03", "trout"), key(clusters, "a02", "bass")]
+        gold = [key("a03", "trout"), key("a02", "bass")]
         all_r = score(clusters, assignments, gold, population=Population.ALL)
         poly_r = score(clusters, assignments, gold, population=Population.POLYSEMOUS)
         assert all_r.total == 2
@@ -129,7 +130,7 @@ class TestScore:
 
     def test_partial_counts_as_unanswered(self, clusters):
         assignments = [partial("bass", ("a02", "b02"))]
-        gold = [key(clusters, "a02", "bass")]
+        gold = [key("a02", "bass")]
         strict = score(clusters, assignments, gold)
         assert (strict.total, strict.answered, strict.correct) == (1, 0, 0)
         assert strict.precision is None
@@ -156,7 +157,7 @@ class TestScore:
             NounOccurrence(0, "bass"), Outcome.FULL, (), Method.YAROWSKY,
             category="noun.animal",
         )
-        gold = [key(clusters, "a02", "bass")]
+        gold = [key("a02", "bass")]
         r = score(clusters, [cat], gold, Level.FILE)
         assert r.correct == 1
         with pytest.raises(ValueError, match="file level"):
@@ -252,7 +253,7 @@ def test_all_population_precision_at_least_polysemous(clusters=None):
             lemma = rng.choice(lemmas)
             senses = t.senses_of(lemma)
             true = rng.choice(senses)
-            gold.append(key(t, true, lemma))
+            gold.append(key(true, lemma))
             if len(senses) == 1:
                 assignments.append(full(lemma, senses[0], i, Method.MONOSEMOUS))
             elif rng.random() < 0.3:

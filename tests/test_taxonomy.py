@@ -32,6 +32,7 @@ from cdwsd.taxonomy import (
 
 from helpers import (
     brute_children,
+    brute_condensation,
     brute_height,
     brute_reachable,
     build_taxonomy,
@@ -39,8 +40,10 @@ from helpers import (
     distance_edge_cases_tif,
     load_data_taxonomy,
     meronym_clique_tif,
+    random_case,
     random_taxonomy,
     random_tif,
+    reference_taxonomy,
 )
 
 CHAIN = """\
@@ -333,44 +336,20 @@ def longest_simple_path(down, node, on_path=frozenset()):
     )
 
 
-def condensation(t):
-    """Each concept's component and height over the condensation, by brute force.
-
-    Two concepts share a component when each reaches the other.  A component
-    of k concepts spans k - 1 edges above the longest path that leaves it,
-    found by memoized recursion over the components.
-    """
-    down = brute_children(t)
-    reach = {c: brute_reachable(t, c) for c in t.synsets}
-    component = {c: frozenset(d for d in reach[c] if c in reach[d]) for c in t.synsets}
-    memo = {}
-
-    def height(comp):
-        if comp not in memo:
-            memo[comp] = len(comp) - 1 + max(
-                (1 + height(component[kid]) for node in comp for kid in down[node]
-                 if kid not in comp),
-                default=0,
-            )
-        return memo[comp]
-
-    return component, {c: height(component[c]) for c in t.synsets}
-
-
-def assert_metrics_match_oracles(t):
+def assert_metrics_match_oracles(t, ref):
     """Heights equal the condensation oracle.  They are never below the
     longest simple path, and equal it for a concept that reaches no cycle."""
-    down = brute_children(t)
-    component, heights = condensation(t)
-    on_cycle = {c for c in t.synsets if len(component[c]) > 1 or c in down[c]}
-    for concept in t.synsets:
+    down = brute_children(ref)
+    component, heights = brute_condensation(ref)
+    on_cycle = {c for c in ref if len(component[c]) > 1 or c in down[c]}
+    for concept in ref:
         m = t.subhierarchy_metrics(concept)
         assert m.height == heights[concept]
         simple = longest_simple_path(down, concept)
         assert m.height >= simple
-        if not on_cycle & brute_reachable(t, concept):
+        if not on_cycle & brute_reachable(ref, concept):
             assert m.height == simple
-        assert m.descendants == len(brute_reachable(t, concept))
+        assert m.descendants == len(brute_reachable(ref, concept))
     big_h = max(heights[r] for r in t.roots) if t.roots else 0
     assert t.global_nhyp() == solve_nhyp(len(t), big_h)
 
@@ -381,12 +360,13 @@ class TestCycles:
     def test_heights_match_condensation_oracle(self, seed):
         text, _ = random_edges_tif(random.Random(seed), hypernyms_any_direction=False)
         for mode in RelationMode:
-            assert_metrics_match_oracles(build_taxonomy(text, mode))
+            ref = reference_taxonomy(text, mode)
+            assert_metrics_match_oracles(build_taxonomy(text, mode), ref)
             # a fresh taxonomy queried in the other order: no query may leak
             # into a later one
             t = build_taxonomy(text, mode)
-            _, heights = condensation(t)
-            for concept in sorted(t.synsets, reverse=True):
+            _, heights = brute_condensation(ref)
+            for concept in sorted(t, reverse=True):
                 assert t.subhierarchy_metrics(concept).height == heights[concept]
 
     # b is a hyponym of a, and a is part of b: an H and an M edge close
@@ -464,7 +444,7 @@ class TestCycles:
             with pytest.raises(TaxonomyError, match=f"^hypernym cycle through '{on_cycle[0]}'$"):
                 build_taxonomy(text, mode)
         else:
-            assert_metrics_match_oracles(build_taxonomy(text, mode))
+            assert_metrics_match_oracles(build_taxonomy(text, mode), reference_taxonomy(text, mode))
 
 
 def brute_bfs(adjacency, start):
@@ -487,7 +467,7 @@ def assert_strings(values):
 
 
 class TestGraphQueries:
-    """Traversal queries against a brute BFS over the raw Synset records."""
+    """Traversal queries against a brute BFS over the reference loader's records."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**9), source=st.sampled_from(["tif", "tif+mero", "edges"]))
@@ -499,13 +479,13 @@ class TestGraphQueries:
             text = random_tif(rng, max_synsets=40, meronymy=source == "tif+mero")
         for mode in RelationMode:
             t = build_taxonomy(text, mode)
-            down = brute_children(t)
+            down = brute_children(reference_taxonomy(text, mode))
             up = {sid: set() for sid in down}
             for node, kids in down.items():
                 for kid in kids:
                     up[kid].add(node)
             either = {sid: down[sid] | up[sid] for sid in down}
-            ids = sorted(t.synsets)
+            ids = list(t)
             for s in ids:
                 kids = t.children_of(s)
                 assert type(kids) is tuple and kids == tuple(sorted(down[s]))
@@ -649,8 +629,8 @@ def branch_chains_tif(rng):
     return "\n".join(lines) + "\n", chains
 
 
-def brute_either(t):
-    down = brute_children(t)
+def brute_either(ref):
+    down = brute_children(ref)
     either = {sid: set(kids) for sid, kids in down.items()}
     for node, kids in down.items():
         for kid in kids:
@@ -661,9 +641,9 @@ def brute_either(t):
 def anchors(t):
     """Each synset's anchor: itself in the core, else the core synset its
     hanging tree meets (read from the private peel)."""
-    t.distances(next(iter(t.synsets)), set())
+    t.distances(next(iter(t)), set())
     anchor = t._core[1]
-    return {sid: t._ids[anchor[t._num[sid]]] for sid in t.synsets}
+    return {sid: t._ids[anchor[t._num[sid]]] for sid in t}
 
 
 class TestCoreAndFringe:
@@ -677,8 +657,8 @@ class TestCoreAndFringe:
         text, trees = hanging_trees_tif(rng)
         for mode in RelationMode:
             t = build_taxonomy(text, mode)
-            either = brute_either(t)
-            ids = sorted(t.synsets)
+            either = brute_either(reference_taxonomy(text, mode))
+            ids = list(t)
             for root, grown in trees.items():
                 for tree in grown:
                     siblings = [node for other in grown if other is not tree for node in other]
@@ -702,8 +682,8 @@ class TestCoreAndFringe:
         text, chains = branch_chains_tif(rng)
         for mode in RelationMode:
             t = build_taxonomy(text, mode)
-            either = brute_either(t)
-            ids = sorted(t.synsets)
+            either = brute_either(reference_taxonomy(text, mode))
+            ids = list(t)
             for s in ids:
                 dist = brute_bfs(either, s)
                 assert t.distances(s, set(ids)) == dist
@@ -719,21 +699,21 @@ class TestCoreAndFringe:
         return build_taxonomy(distance_edge_cases_tif(), request.param)
 
     def test_edge_cases_match_brute_bfs(self, cases):
-        either = brute_either(cases)
-        for s in cases.synsets:
+        either = brute_either(reference_taxonomy(distance_edge_cases_tif(), cases.relation_mode))
+        for s in cases:
             dist = brute_bfs(either, s)
-            assert cases.distances(s, set(cases.synsets)) == dist
-            for target in cases.synsets:
+            assert cases.distances(s, set(cases)) == dist
+            for target in cases:
                 assert cases.distances(s, {target}) == {x: dist[x] for x in {target} & dist.keys()}
 
     @pytest.mark.parametrize("mode", list(RelationMode), ids=lambda mode: mode.value)
     def test_chain_cases_match_brute_bfs(self, mode):
         t = build_taxonomy(chain_cases_tif(), mode)
-        either = brute_either(t)
-        for s in t.synsets:
+        either = brute_either(reference_taxonomy(chain_cases_tif(), mode))
+        for s in t:
             dist = brute_bfs(either, s)
-            assert t.distances(s, set(t.synsets)) == dist
-            for target in t.synsets:
+            assert t.distances(s, set(t)) == dist
+            for target in t:
                 assert t.distances(s, {target}) == {x: dist[x] for x in {target} & dist.keys()}
         # along the chain from q2 to q3, not round through a or b
         assert t.distances("g2", {"h1", "h2", "q4", "w1"}) == {"h1": 4, "h2": 4, "q4": 4, "w1": 6}
@@ -757,7 +737,7 @@ class TestCoreAndFringe:
 
     def test_isolated_synset_is_its_own_anchor(self, cases):
         assert anchors(cases)["z"] == "z"
-        assert cases.distances("z", set(cases.synsets)) == {"z": 0}
+        assert cases.distances("z", set(cases)) == {"z": 0}
         assert cases.distances("r", {"z", "c1"}) == {"c1": 1}
 
     def test_all_tree_component(self):
@@ -785,7 +765,7 @@ class TestCoreAndFringe:
         text = distance_edge_cases_tif()
         mode = RelationMode.HYPERNYMY_MERONYMY
         reference = build_taxonomy(text, mode)
-        everyone = set(reference.synsets)
+        everyone = set(reference)
         sources = sorted(everyone) * 4
         expected = [reference.distances(s, everyone) for s in sources]
         t = build_taxonomy(text, mode)  # every thread may be the one to peel
@@ -799,7 +779,7 @@ class TestCoreAndFringe:
         assert found == expected
 
     def test_source_among_its_own_targets(self, cases):
-        either = brute_either(cases)
+        either = brute_either(reference_taxonomy(distance_edge_cases_tif(), cases.relation_mode))
         for s in ("r", "k12", "m2", "s1", "u0", "z"):
             dist = brute_bfs(either, s)
             assert cases.distances(s, {s, "c2"}) == {x: dist[x] for x in {s, "c2"} & dist.keys()}
@@ -849,24 +829,24 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**9), meronymy=st.booleans())
     def test_descendants_match_brute_force(self, seed, meronymy):
-        t = random_taxonomy(random.Random(seed), max_synsets=60, meronymy=meronymy)
-        for concept in t.synsets:
+        t, ref = random_case(random.Random(seed), max_synsets=60, meronymy=meronymy)
+        for concept in t:
             assert t.subhierarchy_metrics(concept).descendants == len(
-                brute_reachable(t, concept)
+                brute_reachable(ref, concept)
             )
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**9))
     def test_heights_match_brute_force(self, seed):
-        t = random_taxonomy(random.Random(seed), max_synsets=50, meronymy=True)
-        for concept in t.synsets:
-            assert t.subhierarchy_metrics(concept).height == brute_height(t, concept)
+        t, ref = random_case(random.Random(seed), max_synsets=50, meronymy=True)
+        for concept in t:
+            assert t.subhierarchy_metrics(concept).height == brute_height(ref, concept)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**9))
     def test_nhyp_bounds_and_residual(self, seed):
         t = random_taxonomy(random.Random(seed), max_synsets=80)
-        for concept in t.synsets:
+        for concept in t:
             m = t.subhierarchy_metrics(concept)
             residual = abs(geometric_power_sum(m.local_nhyp, m.height) - m.descendants)
             assert residual < NHYP_TOLERANCE
@@ -876,12 +856,12 @@ class TestProperties:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**9))
     def test_ancestors_descendants_duality(self, seed):
-        t = random_taxonomy(random.Random(seed), max_synsets=40, meronymy=True)
-        for sense in t.synsets:
+        t, ref = random_case(random.Random(seed), max_synsets=40, meronymy=True)
+        for sense in t:
             ancestors = t.ancestors_of(sense)
             assert sense in ancestors
             for a in ancestors:
-                assert sense in brute_reachable(t, a)
+                assert sense in brute_reachable(ref, a)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**9))
@@ -889,7 +869,7 @@ class TestProperties:
         text = random_tif(random.Random(seed), max_synsets=60, meronymy=True)
         hyper = build_taxonomy(text, RelationMode.HYPERNYMY)
         both = build_taxonomy(text, RelationMode.HYPERNYMY_MERONYMY)
-        for concept in hyper.synsets:
+        for concept in hyper:
             assert (
                 both.subhierarchy_metrics(concept).descendants
                 >= hyper.subhierarchy_metrics(concept).descendants
@@ -899,11 +879,11 @@ class TestProperties:
         t = load_data_taxonomy("two_clusters.tif")
         first = [
             (t.subhierarchy_metrics(c), t.ancestors_of(c), t.global_nhyp())
-            for c in sorted(t.synsets)
+            for c in list(t)
         ]
         second = [
             (t.subhierarchy_metrics(c), t.ancestors_of(c), t.global_nhyp())
-            for c in sorted(t.synsets)
+            for c in list(t)
         ]
         assert first == second
 
@@ -917,11 +897,11 @@ class TestStructuralInvariants:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10**9))
     def test_lemma_index_inverts_lemma_fields(self, seed):
-        t = random_taxonomy(random.Random(seed), max_synsets=50)
+        t, ref = random_case(random.Random(seed), max_synsets=50)
         rebuilt: dict[str, set[str]] = {}
-        for syn in t.synsets.values():
-            for lemma, _ in syn.lemmas:
-                rebuilt.setdefault(lemma, set()).add(syn.id)
+        for sid, rec in ref.records.items():
+            for lemma, _ in rec.lemmas:
+                rebuilt.setdefault(lemma, set()).add(sid)
         assert {k: set(v) for k, v in t.lemma_index.items()} == rebuilt
         for lemma, ids in t.lemma_index.items():
             assert list(ids) == sorted(ids)
@@ -930,8 +910,8 @@ class TestStructuralInvariants:
         from concurrent.futures import ThreadPoolExecutor
 
         t = load_data_taxonomy("two_clusters.tif")
-        concepts = sorted(t.synsets) * 8
-        everyone = set(t.synsets)
+        concepts = list(t) * 8
+        everyone = set(t)
 
         def work(c):
             return (c, t.subhierarchy_metrics(c), t.global_nhyp(), t.distances(c, everyone))
