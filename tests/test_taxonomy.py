@@ -208,6 +208,75 @@ class TestSenses:
         assert t.resolve_sense_key("bass", "noun.group", 0) is None
         assert t.sense_key_of("bass", "a02") == "noun.animal.0"
 
+    def test_same_lex_id_in_two_lexfiles(self):
+        text = "S\tx\tnoun.act\tbass:0\nS\ty\tnoun.animal\tbass:0,perch:2\n"
+        for mode in RelationMode:
+            t = build_taxonomy(text, mode)
+            assert t.resolve_sense_key("bass", "noun.act", 0) == "x"
+            assert t.resolve_sense_key("bass", "noun.animal", 0) == "y"
+            assert t.resolve_sense_key("BASS", "noun.animal", 0) == "y"
+            assert t.resolve_sense_key("bass", "noun.act", 1) is None
+            assert t.resolve_sense_key("bass", "noun.group", 0) is None
+            assert t.resolve_sense_key("perch", "noun.animal", 0) is None
+            assert t.resolve_sense_key("perch", "noun.animal", 2) == "y"
+            assert t.resolve_sense_key("trout", "noun.animal", 0) is None
+            assert t.sense_key_of("bass", "x") == "noun.act.0"
+            assert t.sense_key_of("Bass", "y") == "noun.animal.0"
+            assert t.sense_key_of("perch", "x") is None
+
+    def test_lemma_listed_twice_in_one_synset(self):
+        for mode in RelationMode:
+            t = build_taxonomy("S\tx\tnoun.animal\tBass:3,bass:1\n", mode)
+            assert t.sense_key_of("bass", "x") == "noun.animal.1"
+            assert t.resolve_sense_key("bass", "noun.animal", 3) == "x"
+            assert t.resolve_sense_key("Bass", "noun.animal", 1) == "x"
+            assert t.resolve_sense_key("bass", "noun.animal", 2) is None
+            assert t.lemma_index == {"bass": ("x",)}
+
+    def test_lemma_holding_a_colon(self):
+        for mode in RelationMode:
+            t = build_taxonomy("S\tx\tnoun.act\ta:b:2\n", mode)
+            assert t.senses_of("A:B") == ("x",)
+            assert t.resolve_sense_key("a:b", "noun.act", 2) == "x"
+            assert t.resolve_sense_key("a", "noun.act", 2) is None
+            assert t.sense_key_of("a:b", "x") == "noun.act.2"
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            pytest.param(
+                "S\tz\tnoun.animal\ta:0\nS\tx\tnoun.act\ta:0\nS\ty\tnoun.act\ta:0\n",
+                "duplicate sense key a%noun.act.0 in 'x' and 'y'",
+                id="first-holder",
+            ),
+            pytest.param(
+                "S\tx\tnoun.act\ta:0\nS\ty\tnoun.act\ta:0\nS\tw\tnoun.act\ta:0\n",
+                "duplicate sense key a%noun.act.0 in 'x' and 'y'",
+                id="first-of-three-holders",
+            ),
+            pytest.param(
+                "S\tx\tnoun.act\ta:0,b:0\nS\ty\tnoun.act\tb:0,a:0\n",
+                "duplicate sense key b%noun.act.0 in 'x' and 'y'",
+                id="first-repeat",
+            ),
+            pytest.param(
+                "S\tx\tnoun.act\tc:0,b:0\nS\ty\tnoun.act\tb:1,c:0,b:0\n",
+                "duplicate sense key c%noun.act.0 in 'x' and 'y'",
+                id="first-repeat-in-file-order",
+            ),
+            pytest.param(
+                "S\tx\tnoun.act\tA:0\nS\ty\tnoun.act\ta:0\n",
+                "duplicate sense key a%noun.act.0 in 'x' and 'y'",
+                id="case-folded",
+            ),
+        ],
+    )
+    def test_duplicate_sense_key_precedence(self, text, error):
+        for mode in RelationMode:
+            with pytest.raises(TaxonomyError) as info:
+                build_taxonomy(text, mode)
+            assert str(info.value) == error
+
     @pytest.mark.parametrize("entry_point", list(UNKNOWN_LEMMA_CALLS), ids=str)
     def test_unknown_lemma_is_rejected_by_every_entry_point(self, entry_point):
         t = load_data_taxonomy("two_clusters.tif")
