@@ -1,11 +1,15 @@
 """Noun taxonomy: loading, validation, and subhierarchy metrics.
 
-``load_taxonomy`` indexes a TIF stream with no object per synset.  Its
-parse keeps flat columns: each S record's lexfile and sense keys by id,
-and each edge line.  The Taxonomy constructor numbers the ids once, in
-ascending order, so integer order is string order, and builds every index
-from the columns.  It checks the invariants that span records in order:
-every edge names a defined synset, no sense key names two synsets, and
+``load_taxonomy`` indexes a TIF stream with no object per synset and
+keeps each fact once.  Its parse keeps flat columns: by id, each S
+record's lexfile, one string per name, and its entries as one flat
+(lemma, lex_id, ...) tuple; the lemma index; and each edge line.  There
+is no sense-key index: a key resolves through its lemma's synsets, and
+only a lemma entered more than once can repeat a key, so only those are
+checked.  The Taxonomy constructor numbers the ids once, in ascending
+order, so integer order is string order, and builds every index from the
+columns.  It checks the invariants that span records in order: every
+edge names a defined synset, no sense key names two synsets, and
 hypernym edges form no cycle.  The taxonomy is a DAG of synsets connected
 by hypernym (is-a) edges and, optionally, meronym (whole-part) edges.
 Hypernym edges must be acyclic; once meronym edges are folded in as
@@ -67,10 +71,6 @@ class TaxonomyError(ValueError):
             message = f"line {lineno}: {message}"
         super().__init__(message)
         self.lineno = lineno
-
-
-#: A sense key: (lemma, lexfile, lex_id), the lemma in lower case.
-_Key = tuple[str, str, int]
 
 
 @dataclass(frozen=True)
@@ -306,7 +306,7 @@ class Taxonomy:
 
     def __init__(self, lines: Iterable[tuple[int, str]], relation_mode: RelationMode):
         self.relation_mode = relation_mode
-        records, edges = _parse_tif(lines)
+        records, index, edges = _parse_tif(lines)
         # Node numbers follow ascending id order, so integer order is string
         # order: sorted adjacency, tie-breaks and the lowest id on a cycle
         # come out in string order.
@@ -331,26 +331,19 @@ class Taxonomy:
         # while the adjacency is built, so free them first.
         del edges
 
-        # Sense keys and each lemma's synsets, in file order; then the
-        # synsets of a lemma are sorted, each once.
-        self._sense_keys: dict[_Key, str] = {}
-        index: dict[str, tuple[str, ...]] = {}
-        for sid, (_, keys) in records.items():
-            for key in keys:
-                if key in self._sense_keys:
-                    lemma, lexfile, lex_id = key
-                    raise TaxonomyError(
-                        f"duplicate sense key {lemma}%{lexfile}.{lex_id} "
-                        f"in {self._sense_keys[key]!r} and {sid!r}"
-                    )
-                self._sense_keys[key] = sid
-                index[key[0]] = index.get(key[0], ()) + (sid,)
+        # Two entries of a lemma with one (lexfile, lex_id) repeat a key.
+        # Then the lemma's synsets are sorted, each once.
         for lemma, sids in index.items():
             if len(sids) > 1:
-                index[lemma] = tuple(sorted(set(sids)))
+                unique = sorted(set(sids))
+                pairs = {(records[sid][0], lex_id) for sid in unique
+                         for lex_id in _lex_ids(records[sid][1], lemma)}
+                if len(pairs) < len(sids):
+                    raise _first_repeated_key(records)
+                index[lemma] = tuple(unique)
         self.lemma_index = index
         self._lexfiles = [records[sid][0] for sid in ids]
-        self._keys = [records[sid][1] for sid in ids]
+        self._lemmas = [records[sid][1] for sid in ids]
         del records
 
         # Downward (parent -> child) and upward adjacency under the mode,
@@ -444,8 +437,14 @@ class Taxonomy:
         return senses
 
     def resolve_sense_key(self, lemma: str, lexfile: str, lex_id: int) -> str | None:
-        """Synset id joined through (lemma, lexfile, lex_id), or None."""
-        return self._sense_keys.get((lemma.lower(), lexfile, lex_id))
+        """Synset id joined through (lemma, lexfile, lex_id), or None; the load
+        rejects a repeated key, so at most one synset matches."""
+        lemma = lemma.lower()
+        for sid in self.lemma_index.get(lemma, ()):
+            node = self._num[sid]
+            if self._lexfiles[node] == lexfile and lex_id in _lex_ids(self._lemmas[node], lemma):
+                return sid
+        return None
 
     def lexfile_of(self, concept: str) -> str:
         """The lexicographer file of ``concept``."""
@@ -454,7 +453,7 @@ class Taxonomy:
     def sense_key_of(self, lemma: str, concept: str) -> str | None:
         """Render the ``lexfile.lex_id`` key that names ``concept`` for ``lemma``."""
         node = self._node(concept)
-        lex_ids = [lex_id for name, _, lex_id in self._keys[node] if name == lemma.lower()]
+        lex_ids = _lex_ids(self._lemmas[node], lemma.lower())
         if not lex_ids:
             return None
         return f"{self._lexfiles[node]}.{min(lex_ids)}"
@@ -611,18 +610,37 @@ class Taxonomy:
 # -- TIF parsing -----------------------------------------------------------
 
 
-def _parse_lemma_field(text: str, lexfile: str, lineno: int) -> tuple[_Key, ...]:
-    """The sense keys of an S record's lemma field; raises, naming the first
-    bad entry, if any entry is malformed."""
-    keys = []
+def _lex_ids(lemmas: tuple, lemma: str) -> list[int]:
+    """The lex_ids a flat (lemma, lex_id, lemma, lex_id, ...) tuple gives ``lemma``."""
+    return [lemmas[i + 1] for i in range(0, len(lemmas), 2) if lemmas[i] == lemma]
+
+
+def _first_repeated_key(records: Mapping[str, tuple[str, tuple]]) -> TaxonomyError:
+    """The error naming the first repeated sense key in file order, and its first holder."""
+    holders: dict[tuple, str] = {}
+    for sid, (lexfile, lemmas) in records.items():
+        for key in zip(lemmas[::2], itertools.repeat(lexfile), lemmas[1::2]):
+            if key in holders:
+                return TaxonomyError("duplicate sense key {}%{}.{} in {!r} and {!r}".format(
+                    *key, holders[key], sid))
+            holders[key] = sid
+    raise AssertionError("no sense key repeats")
+
+
+def _parse_lemma_field(text: str, sid: str, index: dict, lineno: int) -> tuple:
+    """An S record's lemma field, flat: (lemma, lex_id, ...), lemmas lower-cased, each
+    entry adding ``sid`` to ``index``; raises, naming the first malformed entry."""
+    lemmas: list = []
     for chunk in text.split(","):
         lemma, sep, lex = chunk.rpartition(":")
         if not sep or not lemma:
             raise TaxonomyError(f"bad lemma entry {chunk!r}", lineno)
         if not lex.isdecimal():
             raise TaxonomyError(f"lex_id must be a non-negative integer in {chunk!r}", lineno)
-        keys.append((lemma.lower(), lexfile, int(lex)))
-    return tuple(keys)
+        lemma = lemma.lower()
+        lemmas += (lemma, int(lex))
+        index[lemma] = index.get(lemma, ()) + (sid,)
+    return tuple(lemmas)
 
 
 def read_lines(stream: IO) -> Iterator[tuple[int, str]]:
@@ -639,11 +657,13 @@ def read_lines(stream: IO) -> Iterator[tuple[int, str]]:
         yield lineno, raw.rstrip("\n").rstrip("\r")
 
 
-def _parse_tif(lines: Iterable[tuple[int, str]]) -> tuple[dict, dict]:
-    """Each S record's lexfile and sense keys by id, in file order, and the
-    line number and two ids of each H and M line; raises for a malformed
-    line or a duplicate id."""
-    records: dict[str, tuple[str, tuple[_Key, ...]]] = {}
+def _parse_tif(lines: Iterable[tuple[int, str]]) -> tuple[dict, dict, dict]:
+    """By id in file order, each S record's lexfile (one string per name) and
+    flat lemma tuple; each lemma's synsets, once per entry; and the line number
+    and two ids of each H and M line.  Raises for a malformed line or a duplicate id."""
+    records: dict[str, tuple[str, tuple]] = {}
+    index: dict[str, tuple[str, ...]] = {}
+    lexfiles: dict[str, str] = {}
     edges: dict[str, list[tuple[int, str, str]]] = {"H": [], "M": []}
     for lineno, line in lines:
         # The two well-formed shapes first; neither can be blank or a
@@ -654,10 +674,10 @@ def _parse_tif(lines: Iterable[tuple[int, str]]) -> tuple[dict, dict]:
             _, sid, lexfile, lemma_field = fields
             if sid in records:
                 raise TaxonomyError(f"duplicate synset id {sid!r}", lineno)
-            keys = _parse_lemma_field(lemma_field, lexfile, lineno)
+            lemmas = _parse_lemma_field(lemma_field, sid, index, lineno)
             if not lexfile:
                 raise TaxonomyError(f"synset {sid!r} has empty lexfile", lineno)
-            records[sid] = (lexfile, keys)
+            records[sid] = (lexfiles.setdefault(lexfile, lexfile), lemmas)
         elif kind in edges and len(fields) == 3:
             edges[kind].append((lineno, fields[1], fields[2]))
         elif not line.strip() or line.lstrip().startswith("#"):
@@ -668,7 +688,7 @@ def _parse_tif(lines: Iterable[tuple[int, str]]) -> tuple[dict, dict]:
             raise TaxonomyError(f"{kind} record needs 3 fields, got {len(fields)}", lineno)
         else:
             raise TaxonomyError(f"unknown record type {kind!r}", lineno)
-    return records, edges
+    return records, index, edges
 
 
 def load_taxonomy(stream: IO, relation_mode: RelationMode = RelationMode.HYPERNYMY) -> Taxonomy:
