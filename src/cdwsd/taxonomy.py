@@ -1,16 +1,15 @@
 """Noun taxonomy: loading, validation, and subhierarchy metrics.
 
-``load_taxonomy`` indexes a TIF stream with no object per synset and
-keeps each fact once.  Its parse keeps flat columns: by id, each S
-record's lexfile, one string per name, and its entries as one flat
-(lemma, lex_id, ...) tuple; the lemma index; and each edge line.  There
-is no sense-key index: a key resolves through its lemma's synsets, and
-only a lemma entered more than once can repeat a key, so only those are
-checked.  The Taxonomy constructor numbers the ids once, in ascending
-order, so integer order is string order, and builds every index from the
-columns.  It checks the invariants that span records in order: every
-edge names a defined synset, no sense key names two synsets, and
-hypernym edges form no cycle.  The taxonomy is a DAG of synsets connected
+``load_taxonomy`` indexes a TIF stream with no object per synset and keeps
+each fact once.  Its parse keeps flat columns: by id, each S record's
+lexfile, one string per name, and its entries as one flat (lemma, lex_id,
+...) tuple; the lemma index; and each edge line.  The Taxonomy constructor
+numbers the ids once, in ascending order, so integer order is string
+order, and builds every index from the columns.  It checks the invariants
+that span records in order: every edge names a defined synset, no sense
+key names two synsets (there is no sense-key index: only a lemma entered
+more than once can repeat a key, so only those are checked), and hypernym
+edges form no cycle.  The taxonomy is a DAG of synsets connected
 by hypernym (is-a) edges and, optionally, meronym (whole-part) edges.
 Hypernym edges must be acyclic; once meronym edges are folded in as
 additional parent->child links the combined graph may contain cycles, so
@@ -306,7 +305,7 @@ class Taxonomy:
 
     def __init__(self, lines: Iterable[tuple[int, str]], relation_mode: RelationMode):
         self.relation_mode = relation_mode
-        records, index, edges = _parse_tif(lines)
+        records, index, repeats, edges = _parse_tif(lines)
         # Node numbers follow ascending id order, so integer order is string
         # order: sorted adjacency, tie-breaks and the lowest id on a cycle
         # come out in string order.
@@ -331,16 +330,17 @@ class Taxonomy:
         # while the adjacency is built, so free them first.
         del edges
 
-        # Two entries of a lemma with one (lexfile, lex_id) repeat a key.
-        # Then the lemma's synsets are sorted, each once.
-        for lemma, sids in index.items():
-            if len(sids) > 1:
-                unique = sorted(set(sids))
-                pairs = {(records[sid][0], lex_id) for sid in unique
-                         for lex_id in _lex_ids(records[sid][1], lemma)}
-                if len(pairs) < len(sids):
-                    raise _first_repeated_key(records)
-                index[lemma] = tuple(unique)
+        # A key can repeat only under a lemma entered more than once.  Its first
+        # entry is its first in its synset's lemma tuple; the parse gave the
+        # pairs of the rest.  Then the lemma's synsets are sorted, each once.
+        for lemma, pairs in repeats.items():
+            sids = index[lemma]
+            lexfile, lemmas = records[sids[0]]
+            keys = {(lexfile, lemmas[lemmas.index(lemma) + 1]), *zip(pairs[::2], pairs[1::2])}
+            if len(keys) < len(sids):
+                raise _first_repeated_key(records)
+            index[lemma] = tuple(sorted(set(sids)))
+        del repeats
         self.lemma_index = index
         self._lexfiles = [records[sid][0] for sid in ids]
         self._lemmas = [records[sid][1] for sid in ids]
@@ -627,22 +627,6 @@ def _first_repeated_key(records: Mapping[str, tuple[str, tuple]]) -> TaxonomyErr
     raise AssertionError("no sense key repeats")
 
 
-def _parse_lemma_field(text: str, sid: str, index: dict, lineno: int) -> tuple:
-    """An S record's lemma field, flat: (lemma, lex_id, ...), lemmas lower-cased, each
-    entry adding ``sid`` to ``index``; raises, naming the first malformed entry."""
-    lemmas: list = []
-    for chunk in text.split(","):
-        lemma, sep, lex = chunk.rpartition(":")
-        if not sep or not lemma:
-            raise TaxonomyError(f"bad lemma entry {chunk!r}", lineno)
-        if not lex.isdecimal():
-            raise TaxonomyError(f"lex_id must be a non-negative integer in {chunk!r}", lineno)
-        lemma = lemma.lower()
-        lemmas += (lemma, int(lex))
-        index[lemma] = index.get(lemma, ()) + (sid,)
-    return tuple(lemmas)
-
-
 def read_lines(stream: IO) -> Iterator[tuple[int, str]]:
     """(line number, text without its line ending) for each line of ``stream``.
 
@@ -657,12 +641,14 @@ def read_lines(stream: IO) -> Iterator[tuple[int, str]]:
         yield lineno, raw.rstrip("\n").rstrip("\r")
 
 
-def _parse_tif(lines: Iterable[tuple[int, str]]) -> tuple[dict, dict, dict]:
-    """By id in file order, each S record's lexfile (one string per name) and
-    flat lemma tuple; each lemma's synsets, once per entry; and the line number
-    and two ids of each H and M line.  Raises for a malformed line or a duplicate id."""
+def _parse_tif(lines: Iterable[tuple[int, str]]) -> tuple[dict, dict, dict, dict]:
+    """By id in file order, each S record's lexfile (one string per name) and flat
+    (lemma, lex_id, ...) tuple, lemmas lower-cased; each lemma's synsets, once per
+    entry; the (lexfile, lex_id, ...) pairs of each lemma's entries after its first;
+    and each H and M line's number and two ids.  Raises for a malformed line or a repeated id."""
     records: dict[str, tuple[str, tuple]] = {}
     index: dict[str, tuple[str, ...]] = {}
+    repeats: dict[str, tuple] = {}
     lexfiles: dict[str, str] = {}
     edges: dict[str, list[tuple[int, str, str]]] = {"H": [], "M": []}
     for lineno, line in lines:
@@ -674,10 +660,24 @@ def _parse_tif(lines: Iterable[tuple[int, str]]) -> tuple[dict, dict, dict]:
             _, sid, lexfile, lemma_field = fields
             if sid in records:
                 raise TaxonomyError(f"duplicate synset id {sid!r}", lineno)
-            lemmas = _parse_lemma_field(lemma_field, sid, index, lineno)
+            lexfile = lexfiles.setdefault(lexfile, lexfile)
+            lemmas: list = []
+            one = (sid,)
+            for chunk in lemma_field.split(","):
+                lemma, sep, lex = chunk.rpartition(":")
+                if not sep or not lemma:
+                    raise TaxonomyError(f"bad lemma entry {chunk!r}", lineno)
+                if not lex.isdecimal():
+                    raise TaxonomyError(
+                        f"lex_id must be a non-negative integer in {chunk!r}", lineno)
+                lemma, lex_id = lemma.lower(), int(lex)
+                lemmas += (lemma, lex_id)
+                if lemma in index:
+                    repeats[lemma] = repeats.get(lemma, ()) + (lexfile, lex_id)
+                index[lemma] = index.get(lemma, ()) + one
             if not lexfile:
                 raise TaxonomyError(f"synset {sid!r} has empty lexfile", lineno)
-            records[sid] = (lexfiles.setdefault(lexfile, lexfile), lemmas)
+            records[sid] = (lexfile, tuple(lemmas))
         elif kind in edges and len(fields) == 3:
             edges[kind].append((lineno, fields[1], fields[2]))
         elif not line.strip() or line.lstrip().startswith("#"):
@@ -688,7 +688,7 @@ def _parse_tif(lines: Iterable[tuple[int, str]]) -> tuple[dict, dict, dict]:
             raise TaxonomyError(f"{kind} record needs 3 fields, got {len(fields)}", lineno)
         else:
             raise TaxonomyError(f"unknown record type {kind!r}", lineno)
-    return records, index, edges
+    return records, index, repeats, edges
 
 
 def load_taxonomy(stream: IO, relation_mode: RelationMode = RelationMode.HYPERNYMY) -> Taxonomy:
