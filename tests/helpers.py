@@ -13,6 +13,7 @@ import io
 import random
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from cdwsd.corpus import SenseKey
 from cdwsd.density import DensityParams, NhypMode
@@ -380,8 +381,12 @@ def brute_reachable(ref: Reference, concept: str) -> set[str]:
 
 
 def brute_height(ref: Reference, concept: str) -> int:
-    """Longest downward path by memoized recursion; inputs must be acyclic."""
-    down = brute_children(ref)
+    return brute_heights(brute_children(ref))(concept)
+
+
+def brute_heights(down: dict[str, set[str]]) -> Callable[[str], int]:
+    """Longest downward path from a node of ``down``, by recursion memoized
+    across calls; ``down`` must be acyclic."""
     memo: dict[str, int] = {}
 
     def depth(node: str) -> int:
@@ -389,7 +394,7 @@ def brute_height(ref: Reference, concept: str) -> int:
             memo[node] = max((depth(c) + 1 for c in down[node]), default=0)
         return memo[node]
 
-    return depth(concept)
+    return depth
 
 
 def brute_condensation(ref: Reference) -> tuple[dict[str, frozenset[str]], dict[str, int]]:
@@ -471,14 +476,16 @@ def brute_score_all(
 
     Synsets holding no marks map to (0, 0.0).
     """
+    down = brute_children(ref)
+    height_of = brute_heights(down)
     global_nhyp = 0.0
     if params.nhyp_mode is NhypMode.GLOBAL:
         roots = [sid for sid, rec in ref.records.items() if not rec.hypernyms]
-        big_h = max((brute_height(ref, r) for r in roots), default=0)
+        big_h = max((height_of(r) for r in roots), default=0)
         global_nhyp = brute_nhyp(len(ref), big_h)
     scores: dict[str, tuple[int, float]] = {}
     for concept in ref.records:
-        reach = brute_reachable(ref, concept)
+        reach = brute_bfs_reach(down, (concept,))
         pairs = set()
         for idx, (lemma, senses) in enumerate(window):
             key = lemma if dedup else idx
@@ -490,7 +497,7 @@ def brute_score_all(
             scores[concept] = (0, 0.0)
             continue
         descendants = len(reach)
-        height = brute_height(ref, concept)
+        height = height_of(concept)
         nhyp = (
             brute_nhyp(descendants, height)
             if params.nhyp_mode is NhypMode.LOCAL
