@@ -300,6 +300,40 @@ def test_freeze_keeps_scores_equal_to_a_fresh_lattice(seed, meronymy, mode, dedu
             )
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**9),
+    meronymy=st.booleans(),
+    mode=st.sampled_from([NhypMode.LOCAL, NhypMode.GLOBAL]),
+    dedup=st.booleans(),
+)
+def test_queued_freezes_survive_an_early_return_and_a_key_switch(seed, meronymy, mode, dedup):
+    rng = random.Random(seed)
+    t = random_taxonomy(rng, max_synsets=40, min_synsets=2, meronymy=meronymy)
+    window = random_window(rng, t, max_words=7)
+    params = DensityParams(nhyp_mode=mode)
+    lemmas = tuple(lemma for lemma, _ in window)
+    lattice = Lattice(lemmas, [set(senses) for _, senses in window], [False] * len(window))
+
+    def fresh_call(qualifying):
+        fresh = Lattice(lemmas, [set(r) for r in lattice.remaining], list(lattice.frozen))
+        return score_candidates(t, fresh, params, dedup, qualifying=qualifying)
+
+    assert score_candidates(t, lattice, params, dedup, qualifying=True) == fresh_call(True)
+    # freeze every open word: the next qualifying call has nothing to select
+    # and returns before the freezes are taken out of the coverage map
+    opened = [i for i, senses in enumerate(lattice.remaining) if len(senses) >= 2]
+    for i in opened:
+        senses = sorted(lattice.remaining[i])
+        lattice.freeze(i, rng.sample(senses, rng.randint(1, len(senses))))
+    assert score_candidates(t, lattice, params, dedup, qualifying=True) == []
+    assert len(lattice._pending) == len(opened)
+    # the queued freezes reach a call with other arguments, then the old ones again
+    for qualifying in (False, True):
+        got = score_candidates(t, lattice, params, dedup, qualifying=qualifying)
+        assert got == fresh_call(qualifying)
+
+
 def test_freeze_narrows_each_word_once_to_a_subset():
     t = load_data_taxonomy("two_clusters.tif")
     lattice = Lattice.for_window(t, ["trout", "bass"])
