@@ -650,6 +650,12 @@ def test_untagged_semcor_input_is_config_error(tmp_path):
     assert code == EXIT_CONFIG
 
 
+def test_toy_corpus_density_golden():
+    """Density under the defaults (``hyper``, global nhyp) on the toy corpus."""
+    expected = (DATA / "toy_corpus.density.tsv").read_text(encoding="utf-8")
+    assert run(base_args("disambiguate", window=5)) == (EXIT_OK, expected)
+
+
 class TestCyclicMeronymyFixture:
     """Goldens on a taxonomy whose meronym edges close cycles with hypernymy."""
 
