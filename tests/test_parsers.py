@@ -107,15 +107,6 @@ def as_stream(kind, payload):
 PARSE_ERRORS = (TaxonomyError, CorpusError, UnicodeDecodeError)
 
 
-@settings(max_examples=300, deadline=None)
-@given(case=lines_of(TIF_LINE), mode=st.sampled_from(list(RelationMode)))
-def test_taxonomy_parser_raises_only_parse_errors(case, mode):
-    try:
-        load_taxonomy(as_stream(*case), mode)
-    except PARSE_ERRORS:
-        pass
-
-
 def load_outcome(load, stream, mode):
     """The error ``load`` raises, as (type, message), or what it loaded."""
     try:
