@@ -16,18 +16,19 @@ first ``score_candidates`` call builds the coverage map (concept ->
 occurrence -> covered senses) in one pass over the ancestor sets of the
 remaining senses.  ``Lattice.freeze`` keeps it current: the next call
 that reads the map subtracts only the senses each frozen word lost,
-walking only their ancestor sets, and marks every concept over the word's
-old senses for rescoring, since only those can change coverage,
-resolvability or marks.  That call scores again just those concepts and
-reuses every other ``DensityScore``; a qualifying call with no open word
-left returns at once, since nothing can qualify.  Each word is frozen at
-most once, so each sense's ancestors are walked at most twice per window.
-Freezes wait in a queue for that call: when a window's last freezes close
-its last open word, the call returns first and their walks are skipped
-(seed-1 benchmark inputs: 2,539 of 9,150 on sweep-short, 104 of 4,814 on
+walking only their ancestor sets, and collects every concept over the
+word's old senses, since only those can change coverage, resolvability or
+marks.  That call scores again just those concepts and reuses every other
+``DensityScore``; a qualifying call with no open word left returns at
+once, since nothing can qualify.  Each word is frozen at most once, so
+each sense's ancestors are walked at most twice per window.  Freezes wait
+in a queue for that call: when a window's last freezes close its last
+open word, the call returns first and their walks are skipped (seed-1
+benchmark inputs: 2,539 of 9,150 on sweep-short, 104 of 4,814 on
 evaluate-w31; updating the map at once was slower on sweep-short).
 Changing ``remaining`` or ``frozen`` by hand after the first score is
-unsupported: the map would no longer match them.
+unsupported: the map would no longer match them.  The map is never
+rebuilt, so a lattice is scored only against the taxonomy it was built for.
 """
 
 from __future__ import annotations
@@ -85,11 +86,8 @@ class DensityScore:
 
 @lru_cache(maxsize=1 << 16)
 def _smoothed_numerator(nhyp: float, exponent: float, m: int) -> float:
-    total = 0.0
-    for i in range(m):
-        if i == 0:
-            total += 1.0
-            continue
+    total = 1.0 if m else 0.0
+    for i in range(1, m):
         try:
             total += nhyp ** (i**exponent)
         except OverflowError:
@@ -126,21 +124,20 @@ class Lattice:
     occurrence -> covered senses) from ``remaining``; after that ``freeze``
     is the only supported way to narrow a word, because it keeps the map
     current.  Changing ``remaining`` or ``frozen`` by hand after the first
-    score leaves the map stale.
+    score leaves the map stale, and the map is never rebuilt, so a lattice
+    is scored only against the taxonomy it was built for.
     """
 
     lemmas: tuple[str, ...]
     remaining: list[set[str]]
     frozen: list[bool]
-    # the coverage map and the taxonomy it was built over
-    _taxonomy: Taxonomy | None = field(default=None, init=False, repr=False, compare=False)
-    _covered: dict[str, dict[int, set[str]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    # score_candidates' cache: the arguments it was filled for, the sort key
-    # and score of every listed concept, and the concepts to score again
+    # the coverage map, None until the first score
+    _covered: dict[str, dict[int, set[str]]] | None = field(
+        default=None, init=False, repr=False, compare=False)
+    # score_candidates' cache: the arguments it was filled for, and the sort
+    # key and score of every listed concept
     _scored_for: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _scored: dict[str, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _dirty: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
     # (occurrence, old senses, kept senses) of freezes not yet taken out of the map
     _pending: list[tuple[int, set[str], set[str]]] = field(
         default_factory=list, init=False, repr=False, compare=False)
@@ -151,24 +148,16 @@ class Lattice:
         return cls(lemmas=tuple(lemmas), remaining=remaining,
                    frozen=[False] * len(remaining))
 
-    def open_indices(self) -> list[int]:
-        """Occurrences that are neither frozen nor down to one sense."""
-        return [
-            i
-            for i in range(len(self.lemmas))
-            if not self.frozen[i] and len(self.remaining[i]) >= 2
-        ]
-
-    def _coverage(self, t: Taxonomy) -> dict[str, dict[int, set[str]]]:
-        """Concept -> occurrence -> remaining senses under the concept.
+    def _coverage(self, t: Taxonomy) -> tuple[dict[str, dict[int, set[str]]], set[str]]:
+        """Concept -> occurrence -> remaining senses under the concept, and
+        the concepts the pending freezes touched.
 
         Built on first use; after that, each pending freeze takes out the
-        senses its word lost and marks the concepts over its old senses.
+        senses its word lost and touches every concept over its old senses.
         """
-        if self._taxonomy is not t:
-            self._pending.clear()
-            ancestors_of = t.ancestors_of
-            covered: dict[str, dict[int, set[str]]] = {}
+        ancestors_of, covered = t.ancestors_of, self._covered
+        if covered is None:
+            covered = self._covered = {}
             for idx, senses in enumerate(self.remaining):
                 for s in senses:
                     for anc in ancestors_of(s):
@@ -179,8 +168,7 @@ class Lattice:
                             by_word[idx].add(s)
                         else:
                             by_word[idx] = {s}
-            self._taxonomy, self._covered, self._scored_for = t, covered, None
-        ancestors_of, covered = t.ancestors_of, self._covered
+        touched: set[str] = set()
         for idx, old, keep in self._pending:
             over_lost = set().union(*map(ancestors_of, old - keep))
             for anc in over_lost:
@@ -192,9 +180,9 @@ class Lattice:
                     del by_word[idx]
                 else:
                     del covered[anc]
-            self._dirty.update(over_lost, *map(ancestors_of, keep))
+            touched.update(over_lost, *map(ancestors_of, keep))
         self._pending.clear()
-        return covered
+        return covered, touched
 
     def freeze(self, idx: int, senses: Iterable[str]) -> None:
         """Keep only ``senses`` for occurrence ``idx`` and freeze it.
@@ -211,7 +199,7 @@ class Lattice:
             raise ValueError(f"occurrence {idx} must keep a non-empty subset of its senses")
         self.remaining[idx] = keep
         self.frozen[idx] = True
-        if self._taxonomy is not None:
+        if self._covered is not None:
             self._pending.append((idx, old, keep))
 
 
@@ -245,21 +233,21 @@ def score_candidates(
     if not lattice.lemmas:
         raise ValueError("empty lattice")
 
-    # sense count of every open occurrence; a concept narrows one when it
-    # covers fewer of its senses (closed occurrences are not listed)
-    open_size = {i: len(lattice.remaining[i]) for i in lattice.open_indices()}
+    # sense count of every open occurrence (neither frozen nor down to one
+    # sense); a concept narrows one when it covers fewer of its senses
+    lemmas, frozen = lattice.lemmas, lattice.frozen
+    open_size = {i: len(senses) for i, senses in enumerate(lattice.remaining)
+                 if not frozen[i] and len(senses) >= 2}
     if qualifying and not open_size:
         return []
-    lemmas = lattice.lemmas
-    covered = lattice._coverage(t)
+    covered, touched = lattice._coverage(t)
     key = (params, dedup_by_lemma, qualifying)
     if lattice._scored_for == key:
-        dirty = lattice._dirty
-        scored = {c: entry for c, entry in lattice._scored.items() if c not in dirty}
-        todo = [(c, covered[c]) for c in dirty if c in covered]
+        scored = {c: entry for c, entry in lattice._scored.items() if c not in touched}
+        todo = [(c, covered[c]) for c in touched if c in covered]
     else:
         scored, todo = {}, covered.items()
-    lattice._scored_for, lattice._scored, lattice._dirty = key, scored, set()
+    lattice._scored_for, lattice._scored = key, scored
 
     global_value = (
         t.global_nhyp() if params.nhyp_mode is NhypMode.GLOBAL else 0.0
