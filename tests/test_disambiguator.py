@@ -413,3 +413,23 @@ def test_window_matches_reference_loop(seed, meronymy, mode, size):
     for target in range(len(nouns)):
         window = build_window(nouns, target, size)
         assert disambiguate_window(t, window, params) == reference_window(t, window, params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**9),
+    meronymy=st.booleans(),
+    mode=st.sampled_from([NhypMode.LOCAL, NhypMode.GLOBAL]),
+    size=st.sampled_from([1, 3, 5, 7, 9]),
+)
+def test_document_matches_one_window_per_target(seed, meronymy, mode, size):
+    # near a document's ends consecutive targets share a window's members
+    rng = random.Random(seed)
+    t = random_taxonomy(rng, max_synsets=40, min_synsets=2, meronymy=meronymy)
+    params = DensityParams(nhyp_mode=mode)
+    lemmas = sorted(t.lemma_index)
+    nouns = occurrences(*[rng.choice(lemmas) for _ in range(rng.randint(1, 20))])
+    assert disambiguate_document(t, nouns, params, size) == [
+        disambiguate_window(t, build_window(nouns, i, size), params)[0]
+        for i in range(len(nouns))
+    ]
