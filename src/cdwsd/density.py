@@ -18,17 +18,21 @@ remaining senses.  ``Lattice.freeze`` keeps it current: the next call
 that reads the map subtracts only the senses each frozen word lost,
 walking only their ancestor sets, and collects every concept over the
 word's old senses, since only those can change coverage, resolvability or
-marks.  That call scores again just those concepts and reuses every other
-``DensityScore``; a qualifying call with no open word left returns at
-once, since nothing can qualify.  Each word is frozen at most once, so
-each sense's ancestors are walked at most twice per window.  Freezes wait
-in a queue for that call: when a window's last freezes close its last
-open word, the call returns first and their walks are skipped (seed-1
-benchmark inputs: 2,539 of 9,150 on sweep-short, 104 of 4,814 on
-evaluate-w31; updating the map at once was slower on sweep-short).
-Changing ``remaining`` or ``frozen`` by hand after the first score is
-unsupported: the map would no longer match them.  The map is never
-rebuilt, so a lattice is scored only against the taxonomy it was built for.
+marks.  The lattice keeps each scored concept's sort key (-cd,
+descendants, id) with its marks and resolvability, so that call scores
+again just the touched concepts.  A qualifying call, the elimination
+loop's, returns only the winner: it takes the least key and builds a
+single ``DensityScore``, or returns at once when no open word is left,
+since nothing can qualify.  Each word is frozen at most once, so each
+sense's ancestors are walked at most twice per window.  Freezes wait in
+a queue for that call: when a window's last freezes close its last open
+word, the call returns first and their walks are skipped (seed-1
+benchmark inputs, global nhyp: 781 of 2,215 freezes on sweep-short, 54
+of 1,038 on evaluate-w31; updating the map at once was slower on
+sweep-short).  Changing ``remaining`` or ``frozen`` by hand after the
+first score is unsupported: the map would no longer match them.  The map
+is never rebuilt, so a lattice is scored only against the taxonomy it was
+built for.
 """
 
 from __future__ import annotations
@@ -135,7 +139,8 @@ class Lattice:
     _covered: dict[str, dict[int, set[str]]] | None = field(
         default=None, init=False, repr=False, compare=False)
     # score_candidates' cache: the arguments it was filled for, and the sort
-    # key and score of every listed concept
+    # key (-cd, descendants, id), marks and resolvability of every scored
+    # concept
     _scored_for: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _scored: dict[str, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
     # (occurrence, old senses, kept senses) of freezes not yet taken out of the map
@@ -221,14 +226,15 @@ def score_candidates(
     select are scored: those that cover at least two occurrences, strictly
     narrow a still-open one and cover senses of at least two distinct
     lemmas.  The rule is tested on raw coverage, cheapest test first, before
-    any metric or density is computed, so the result is the full list
-    filtered by that rule, in the same order.
+    any metric or density is computed.  The call returns the best of them
+    alone, ``[best]``, or ``[]`` if none qualifies: the first entry of the
+    full list filtered by that rule.
 
-    Scores are kept on the lattice.  A repeated call with the same
+    Sort keys are kept on the lattice.  A repeated call with the same
     arguments scores again only the concepts over the words frozen since
-    the last call; a ``DensityScore`` is immutable, so every other concept
-    keeps its last one.  With ``qualifying`` set and no open occurrence
-    left, nothing can qualify and the call returns at once.
+    the last call; every other concept keeps its last key.  With
+    ``qualifying`` set and no open occurrence left, nothing can qualify and
+    the call returns at once.
     """
     if not lattice.lemmas:
         raise ValueError("empty lattice")
@@ -243,11 +249,13 @@ def score_candidates(
     covered, touched = lattice._coverage(t)
     key = (params, dedup_by_lemma, qualifying)
     if lattice._scored_for == key:
-        scored = {c: entry for c, entry in lattice._scored.items() if c not in touched}
+        scored = lattice._scored
+        for c in touched:
+            scored.pop(c, None)
         todo = [(c, covered[c]) for c in touched if c in covered]
     else:
         scored, todo = {}, covered.items()
-    lattice._scored_for, lattice._scored = key, scored
+        lattice._scored_for, lattice._scored = key, scored
 
     global_value = (
         t.global_nhyp() if params.nhyp_mode is NhypMode.GLOBAL else 0.0
@@ -255,6 +263,8 @@ def score_candidates(
     for concept, cov in todo:
         if qualifying and len(cov) < 2:
             continue
+        # walk the open words, not the coverage: under meronym cycles a
+        # concept covers most of the window
         resolvable = any(i in cov and len(cov[i]) < n for i, n in open_size.items())
         if qualifying and not (resolvable and len({lemmas[i] for i in cov}) >= 2):
             continue
@@ -263,12 +273,21 @@ def score_candidates(
         else:
             m = sum(map(len, cov.values()))
         metrics = t.subhierarchy_metrics(concept)
-        score = DensityScore(
+        cd = conceptual_density(metrics, m, params, global_value)
+        scored[concept] = (-cd, metrics.descendants, concept, m, resolvable)
+    if not qualifying:
+        ranked = sorted(scored.values())
+    elif scored:
+        ranked = [min(scored.values())]
+    else:
+        return []
+    return [
+        DensityScore(
             concept=concept,
-            cd=conceptual_density(metrics, m, params, global_value),
+            cd=-neg_cd,
             marks=m,
-            covered={i: frozenset(ss) for i, ss in cov.items()},
+            covered={i: frozenset(ss) for i, ss in covered[concept].items()},
             resolvable=resolvable,
         )
-        scored[concept] = (-score.cd, metrics.descendants, concept, score)
-    return [entry[3] for entry in sorted(scored.values())]
+        for neg_cd, _, concept, m, resolvable in ranked
+    ]
