@@ -13,16 +13,20 @@ The loop narrows a word only through ``Lattice.freeze``, which keeps the
 window's coverage map current, so each iteration rescores only the
 concepts over the words the last winner froze.
 
-Window results apply only to the middle noun: freezing is window-local
-and nothing propagates across windows, so each occurrence is decided
-independently and documents can be processed in any order.
+Freezing is window-local and nothing propagates across windows, so each
+occurrence is decided independently and documents can be processed in any
+order.  The loop reads only the window's members, not which of them is
+the target, so its result (``WindowTrace``) decides every member alike.
+Near a document's ends consecutive targets get windows with the same
+members; ``disambiguate_document`` runs the loop once for them and
+decides each from that one result.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Sequence
 
 from .density import DensityParams, DensityScore, Lattice, score_candidates
@@ -82,9 +86,18 @@ class Assignment:
 
 @dataclass
 class WindowTrace:
-    """Diagnostics from one window run: the winner of every loop iteration."""
+    """The result of one window's elimination loop.
+
+    ``winners`` holds the winner of every iteration.  ``remaining`` holds
+    each member's senses when the loop ended, and ``frozen_cd`` the cd of
+    the winner that froze each member (None if none did).  Any member's
+    assignment can be read off them (``_decide``).  A monosemous target's
+    shortcut runs no loop and leaves all three empty.
+    """
 
     winners: list[DensityScore]
+    remaining: list[set[str]] = field(default_factory=list)
+    frozen_cd: list[float | None] = field(default_factory=list)
 
 
 def build_window(
@@ -115,9 +128,9 @@ def disambiguate_window(
     Loop per iteration: score the qualifying concepts over the remaining
     senses (frozen occurrences keep contributing their kept senses as
     marks), take the densest, and freeze every occurrence it covers to
-    exactly the covered senses.  Exits when nothing qualifies.
-    The target ends Full if one sense survives, Partial if several-but-
-    fewer survive, None if its sense set was never touched.
+    exactly the covered senses.  Exits when nothing qualifies and decides
+    the target from the loop's result (``_decide``), which the returned
+    trace holds for every member.
     """
     target_occ = window.members[window.target]
     target_senses = t.known_senses(target_occ.lemma)
@@ -132,7 +145,7 @@ def disambiguate_window(
 
     lattice = Lattice.for_window(t, [occ.lemma for occ in window.members])
     winners: list[DensityScore] = []
-    winning_cd: float | None = None
+    frozen_cd: list[float | None] = [None] * len(window.members)
 
     for _ in range(sum(len(r) for r in lattice.remaining)):
         scores = score_candidates(t, lattice, params, qualifying=True)
@@ -143,24 +156,34 @@ def disambiguate_window(
         for idx, senses in winner.covered.items():
             if not lattice.frozen[idx]:
                 lattice.freeze(idx, senses)
-                if idx == window.target and winning_cd is None:
-                    winning_cd = winner.cd
+                frozen_cd[idx] = winner.cd
 
-    left = sorted(lattice.remaining[window.target])
+    trace = WindowTrace(winners=winners, remaining=lattice.remaining, frozen_cd=frozen_cd)
+    return _decide(t, window, trace), trace
+
+
+def _decide(t: Taxonomy, window: Window, trace: WindowTrace) -> Assignment:
+    """The target's assignment from its window's loop result.
+
+    Full if one sense survives, Partial if several-but-fewer survive, None
+    if its sense set was never narrowed.
+    """
+    occ = window.members[window.target]
+    left = sorted(trace.remaining[window.target])
+    winning_cd = trace.frozen_cd[window.target]
     if len(left) == 1:
         outcome, senses = Outcome.FULL, tuple(left)
-    elif len(left) < len(target_senses):
+    elif len(left) < len(t.known_senses(occ.lemma)):
         outcome, senses = Outcome.PARTIAL, tuple(left)
     else:
         outcome, senses, winning_cd = Outcome.NONE, (), None
-    assignment = Assignment(
-        occurrence=target_occ,
+    return Assignment(
+        occurrence=occ,
         outcome=outcome,
         senses=senses,
         method=Method.DENSITY,
         winning_cd=winning_cd,
     )
-    return assignment, WindowTrace(winners=winners)
 
 
 def apply_random_fallback(
@@ -200,16 +223,26 @@ def disambiguate_document(
 ) -> list[Assignment]:
     """One assignment per noun occurrence, in document order.
 
-    Every occurrence is the middle of its own window; window results are
-    not shared.  ``window_size`` must be odd (it counts the target too);
-    the command line accepts even context-sized values and widens them
-    before calling in here.  Undecided occurrences stay Partial or None;
+    Every occurrence is the middle of its own window.  A polysemous
+    target whose window has the same members as the last loop run is
+    decided from that run's trace, with the same result a new run would
+    give; every other window runs ``disambiguate_window``.
+    ``window_size`` must be odd (it counts the target too); the command
+    line accepts even context-sized values and widens them before calling
+    in here.  Undecided occurrences stay Partial or None;
     ``apply_random_fallback`` turns them into draws.
     """
     assignments = []
+    members, trace = None, None  # the window and result of the last loop run
     for i in range(len(nouns)):
         window = build_window(nouns, i, window_size)
-        assignment, _ = disambiguate_window(t, window, params)
+        if (window.members == members
+                and len(t.known_senses(window.members[window.target].lemma)) > 1):
+            assignment = _decide(t, window, trace)
+        else:
+            assignment, last = disambiguate_window(t, window, params)
+            if assignment.method is Method.DENSITY:
+                members, trace = window.members, last
         assignments.append(assignment)
     return assignments
 

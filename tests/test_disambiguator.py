@@ -361,7 +361,7 @@ def reference_window(t, window, params):
     lemmas = tuple(o.lemma for o in window.members)
     remaining = [set(t.senses_of(lemma)) for lemma in lemmas]
     frozen = [False] * len(lemmas)
-    winners, winning_cd = [], None
+    winners, frozen_cd = [], [None] * len(lemmas)
     while True:
         # a fresh lattice per iteration: the oracle shares no incremental state
         lattice = Lattice(lemmas, [set(r) for r in remaining], list(frozen))
@@ -385,16 +385,17 @@ def reference_window(t, window, params):
             if not frozen[idx]:
                 remaining[idx] = set(winner.covered[idx])
                 frozen[idx] = True
-                if idx == window.target and winning_cd is None:
-                    winning_cd = winner.cd
+                frozen_cd[idx] = winner.cd
     left = tuple(sorted(remaining[window.target]))
+    winning_cd = frozen_cd[window.target]
     if len(left) == 1:
         outcome = Outcome.FULL
     elif len(left) < len(all_senses):
         outcome = Outcome.PARTIAL
     else:
         outcome, left, winning_cd = Outcome.NONE, (), None
-    return Assignment(occ, outcome, left, Method.DENSITY, winning_cd), WindowTrace(winners)
+    trace = WindowTrace(winners, remaining, frozen_cd)
+    return Assignment(occ, outcome, left, Method.DENSITY, winning_cd), trace
 
 
 @settings(max_examples=40, deadline=None)
