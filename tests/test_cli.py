@@ -673,14 +673,14 @@ class TestCyclicMeronymyFixture:
                 ["disambiguate", "--relations", "hyper+mero", "--nhyp", "local", "--window", "5"],
                 "car_parts.density.tsv",
             ),
+            (
+                ["disambiguate", "--relations", "hyper+mero", "--baseline", "sussna", "--window", "41"],
+                "car_parts.sussna.tsv",
+            ),
             # the polysemous edge targets pilot, hand and wheel share one window
             (
                 ["disambiguate", "--relations", "hyper", "--window", "5"],
                 "car_parts.density.hyper.tsv",
-            ),
-            (
-                ["disambiguate", "--relations", "hyper+mero", "--baseline", "sussna", "--window", "41"],
-                "car_parts.sussna.tsv",
             ),
         ],
     )
