@@ -140,7 +140,7 @@ class Lattice:
         default=None, init=False, repr=False, compare=False)
     # score_candidates' cache: the arguments it was filled for, and the sort
     # key (-cd, descendants, id), marks and resolvability of every scored
-    # concept
+    # concept, and for the full list its score
     _scored_for: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _scored: dict[str, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
     # (occurrence, old senses, kept senses) of freezes not yet taken out of the map
@@ -232,7 +232,8 @@ def score_candidates(
 
     Sort keys are kept on the lattice.  A repeated call with the same
     arguments scores again only the concepts over the words frozen since
-    the last call; every other concept keeps its last key.  With
+    the last call; every other concept keeps its last key and, in the full
+    list, its last ``DensityScore``, which is immutable.  With
     ``qualifying`` set and no open occurrence left, nothing can qualify and
     the call returns at once.
     """
@@ -273,21 +274,26 @@ def score_candidates(
         else:
             m = sum(map(len, cov.values()))
         metrics = t.subhierarchy_metrics(concept)
-        cd = conceptual_density(metrics, m, params, global_value)
-        scored[concept] = (-cd, metrics.descendants, concept, m, resolvable)
+        entry = (-conceptual_density(metrics, m, params, global_value),
+                 metrics.descendants, concept, m, resolvable)
+        # the full list keeps every score it builds; the loop builds only
+        # its winner's
+        scored[concept] = entry if qualifying else (*entry, _density_score(entry, cov))
     if not qualifying:
-        ranked = sorted(scored.values())
-    elif scored:
-        ranked = [min(scored.values())]
-    else:
+        return [entry[5] for entry in sorted(scored.values())]
+    if not scored:
         return []
-    return [
-        DensityScore(
-            concept=concept,
-            cd=-neg_cd,
-            marks=m,
-            covered={i: frozenset(ss) for i, ss in covered[concept].items()},
-            resolvable=resolvable,
-        )
-        for neg_cd, _, concept, m, resolvable in ranked
-    ]
+    best = min(scored.values())
+    return [_density_score(best, covered[best[2]])]
+
+
+def _density_score(entry: tuple, cov: dict[int, set[str]]) -> DensityScore:
+    """The ``DensityScore`` of a cached sort-key entry and its coverage."""
+    neg_cd, _, concept, m, resolvable = entry[:5]
+    return DensityScore(
+        concept=concept,
+        cd=-neg_cd,
+        marks=m,
+        covered={i: frozenset(ss) for i, ss in cov.items()},
+        resolvable=resolvable,
+    )

@@ -28,7 +28,7 @@ def same_outputs(tmp_path, old, new):
     commands = tmp_path / "commands.txt"
     commands.write_text("\n".join(COMMANDS) + "\n", encoding="utf-8")
     return subprocess.run(
-        [sys.executable, str(TOOL), str(old), str(new), str(commands), "--jobs", "2"],
+        [sys.executable, str(TOOL), str(old), str(new), str(commands)],
         capture_output=True, text=True, check=False,
     )
 

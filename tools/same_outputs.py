@@ -2,7 +2,7 @@
 
 Usage::
 
-    python3 tools/same_outputs.py OLD_TREE NEW_TREE COMMANDS [--jobs N]
+    python3 tools/same_outputs.py OLD_TREE NEW_TREE COMMANDS
 
 ``COMMANDS`` holds one command line per line, the arguments after
 ``cdwsd`` (for example ``disambiguate --taxonomy t.tif --input x.txt``),
@@ -11,7 +11,7 @@ split as a shell would split them.  Blank lines and lines starting with
 interpreter with ``TREE/src`` on the path, from the current directory, so
 relative paths in the lines resolve the same way for both trees.  A line
 should write its output to standard output: files named by ``--out`` are
-not compared.
+not compared.  Lines run in parallel, one per CPU this process may use.
 
 Every line whose standard output, standard error or exit code differs is
 reported.  The last line of output counts the commands and mismatches.
@@ -66,20 +66,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("old", type=Path, help="first source tree (holds src/cdwsd)")
     parser.add_argument("new", type=Path, help="second source tree")
     parser.add_argument("commands", type=Path, help="file of cdwsd argument lines")
-    parser.add_argument("--jobs", type=int, default=1, help="command lines run at once")
     args = parser.parse_args(argv)
     for tree in (args.old, args.new):
         if not (tree / "src" / "cdwsd").is_dir():
             parser.error(f"{tree} has no src/cdwsd")
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     commands = read_commands(args.commands)
 
     def compare(line: list[str]) -> list[str]:
         return differences(run(args.old, line), run(args.new, line))
 
     mismatches = 0
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+    with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
         for line, found in zip(commands, pool.map(compare, commands)):
             if found:
                 mismatches += 1
