@@ -682,6 +682,12 @@ class TestCyclicMeronymyFixture:
                 ["disambiguate", "--relations", "hyper", "--window", "5"],
                 "car_parts.density.hyper.tsv",
             ),
+            # pilot, hand and wheel share the first window, motor and head
+            # the last one, where motor is monosemous
+            (
+                ["disambiguate", "--relations", "hyper+mero", "--nhyp", "global", "--window", "5"],
+                "car_parts.density.global.tsv",
+            ),
         ],
     )
     def test_golden_output(self, argv, golden):

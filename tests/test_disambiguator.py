@@ -24,7 +24,9 @@ from cdwsd.disambiguator import (
     Method,
     NounOccurrence,
     Outcome,
+    Window,
     WindowTrace,
+    _decide,
     apply_random_fallback,
     build_window,
     disambiguate_document,
@@ -434,3 +436,26 @@ def test_document_matches_one_window_per_target(seed, meronymy, mode, size):
         disambiguate_window(t, build_window(nouns, i, size), params)[0]
         for i in range(len(nouns))
     ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**9),
+    meronymy=st.booleans(),
+    mode=st.sampled_from([NhypMode.LOCAL, NhypMode.GLOBAL]),
+    size=st.sampled_from([1, 3, 5, 7, 9]),
+)
+def test_any_member_decided_from_one_loop_run(seed, meronymy, mode, size):
+    # the loop reads only the members, so one run's trace decides them all
+    rng = random.Random(seed)
+    t = random_taxonomy(rng, max_synsets=40, min_synsets=2, meronymy=meronymy)
+    params = DensityParams(nhyp_mode=mode)
+    lemmas = sorted(t.lemma_index)
+    members = tuple(occurrences(*[rng.choice(lemmas) for _ in range(size)]))
+    polysemous = [i for i, occ in enumerate(members) if len(t.senses_of(occ.lemma)) > 1]
+    for i in polysemous:
+        _, trace = disambiguate_window(t, Window(i, members), params)
+        for j in polysemous:
+            assert _decide(t, Window(j, members), trace) == (
+                disambiguate_window(t, Window(j, members), params)[0]
+            )

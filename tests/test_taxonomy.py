@@ -419,7 +419,8 @@ def assert_metrics_match_oracles(t, ref):
         if not on_cycle & brute_reachable(ref, concept):
             assert m.height == simple
         assert m.descendants == len(brute_reachable(ref, concept))
-    big_h = max(heights[r] for r in t.roots) if t.roots else 0
+    roots = [sid for sid, rec in ref.records.items() if not rec.hypernyms]
+    big_h = max((heights[r] for r in roots), default=0)
     assert t.global_nhyp() == solve_nhyp(len(t), big_h)
 
 
