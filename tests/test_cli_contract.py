@@ -5,7 +5,9 @@ semcor and plain texts over their lemmas, and random flag sets.
 Every run must return 0, 1 or 2 without raising, with the stderr prefix
 that its code promises, and a rerun must be byte-identical.  A flag that
 is invalid on its own must exit 2 with its own message, whatever the files
-hold: the flags are checked before any file is opened.
+hold: the flags are checked before any file is opened.  Ids never print
+and tie-breaks follow id order, so renaming every synset id by an
+order-preserving map must leave each system's output byte-identical.
 """
 
 import contextlib
@@ -233,3 +235,56 @@ def test_exit_contract(files, flags, use_out):
         assert (code, stderr) == (EXIT_CONFIG, f"cdwsd: configuration error: {expected}\n")
         assert stdout == "" and written is None
 
+
+
+def renamed(tif: str, rng: random.Random) -> str:
+    """``tif`` with every synset id replaced through an order-preserving map."""
+    rows = [line.split("\t") for line in tif.splitlines()]
+    ids = sorted(fields[1] for fields in rows if fields[0] == "S")
+    names: set[str] = set()
+    while len(names) < len(ids):
+        names.add("".join(rng.choice("Zaz09é") for _ in range(rng.randint(1, 5))))
+    new = dict(zip(ids, sorted(names)))
+    for fields in rows:
+        ends = 2 if fields[0] == "S" else 3
+        fields[1:ends] = [new[sid] for sid in fields[1:ends]]
+    return "".join("\t".join(fields) + "\n" for fields in rows)
+
+
+RENAME_FLAGS = [
+    ["--nhyp", "global"],
+    ["--nhyp", "local"],
+    ["--baseline", "sussna"],
+    ["--fallback", "random", "--seed", "3"],
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    region=st.sampled_from([0, 0, 3, 8]),
+    window=st.integers(1, 13),
+    nouns=st.integers(1, 12),
+)
+def test_order_preserving_rename_keeps_output(seed, region, window, nouns):
+    rng = random.Random(seed)
+    tif = taxonomy_text(rng, True, region)
+    text = plain_text(rng, senses_in(tif), nouns)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "input.txt").write_text(text, encoding="utf-8")
+        (tmp / "ids.tif").write_text(tif, encoding="utf-8")
+        (tmp / "renamed.tif").write_text(renamed(tif, rng), encoding="utf-8")
+        for relations in ("hyper", "hyper+mero"):
+            for flags in RENAME_FLAGS:
+                first, second = (
+                    run_once(
+                        ["disambiguate", "--taxonomy", str(tmp / name), "--input",
+                         str(tmp / "input.txt"), "--format", "plain", "--relations",
+                         relations, "--window", str(window), *flags],
+                        tmp / "out.tsv",
+                    )
+                    for name in ("ids.tif", "renamed.tif")
+                )
+                assert first[0] == EXIT_OK and first[2] == ""
+                assert second == first
