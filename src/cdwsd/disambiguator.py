@@ -16,7 +16,8 @@ concepts over the words the last winner froze.
 Freezing is window-local and nothing propagates across windows, so each
 occurrence is decided independently and documents can be processed in any
 order.  The loop reads only the window's members, not which of them is
-the target, so its result (``WindowTrace``) decides every member alike.
+the target, so its winners (``WindowTrace``) decide every member alike:
+the first winner that covers a member froze it to the senses it covers.
 Near a document's ends consecutive targets get windows with the same
 members; ``disambiguate_document`` runs the loop once for them and
 decides each from that one result.
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Sequence
 
 from .density import DensityParams, DensityScore, Lattice, score_candidates
@@ -88,16 +89,13 @@ class Assignment:
 class WindowTrace:
     """The result of one window's elimination loop.
 
-    ``winners`` holds the winner of every iteration.  ``remaining`` holds
-    each member's senses when the loop ended, and ``frozen_cd`` the cd of
-    the winner that froze each member (None if none did).  Any member's
-    assignment can be read off them (``_decide``).  A monosemous target's
-    shortcut runs no loop and leaves all three empty.
+    ``winners`` holds the winner of every iteration, in order.  The first
+    winner that covers a member froze it, so any member's assignment can
+    be read off them (``_decide``).  A monosemous target's shortcut runs
+    no loop and leaves ``winners`` empty.
     """
 
     winners: list[DensityScore]
-    remaining: list[set[str]] = field(default_factory=list)
-    frozen_cd: list[float | None] = field(default_factory=list)
 
 
 def build_window(
@@ -129,61 +127,43 @@ def disambiguate_window(
     senses (frozen occurrences keep contributing their kept senses as
     marks), take the densest, and freeze every occurrence it covers to
     exactly the covered senses.  Exits when nothing qualifies and decides
-    the target from the loop's result (``_decide``), which the returned
-    trace holds for every member.
+    the target from the loop's winners (``_decide``), which the returned
+    trace holds for every member.  A monosemous target skips the loop.
     """
-    target_occ = window.members[window.target]
-    target_senses = t.known_senses(target_occ.lemma)
-    if len(target_senses) == 1:
-        assignment = Assignment(
-            occurrence=target_occ,
-            outcome=Outcome.FULL,
-            senses=(target_senses[0],),
-            method=Method.MONOSEMOUS,
-        )
-        return assignment, WindowTrace(winners=[])
-
-    lattice = Lattice.for_window(t, [occ.lemma for occ in window.members])
-    winners: list[DensityScore] = []
-    frozen_cd: list[float | None] = [None] * len(window.members)
-
-    for _ in range(sum(len(r) for r in lattice.remaining)):
-        scores = score_candidates(t, lattice, params, qualifying=True)
-        if not scores:
-            break
-        winner = scores[0]
-        winners.append(winner)
-        for idx, senses in winner.covered.items():
-            if not lattice.frozen[idx]:
-                lattice.freeze(idx, senses)
-                frozen_cd[idx] = winner.cd
-
-    trace = WindowTrace(winners=winners, remaining=lattice.remaining, frozen_cd=frozen_cd)
+    trace = WindowTrace(winners=[])
+    if len(t.known_senses(window.members[window.target].lemma)) > 1:
+        lattice = Lattice.for_window(t, [occ.lemma for occ in window.members])
+        for _ in range(sum(len(r) for r in lattice.remaining)):
+            scores = score_candidates(t, lattice, params, qualifying=True)
+            if not scores:
+                break
+            winner = scores[0]
+            trace.winners.append(winner)
+            for idx, senses in winner.covered.items():
+                if not lattice.frozen[idx]:
+                    lattice.freeze(idx, senses)
     return _decide(t, window, trace), trace
 
 
 def _decide(t: Taxonomy, window: Window, trace: WindowTrace) -> Assignment:
-    """The target's assignment from its window's loop result.
+    """The target's assignment from its window's loop winners.
 
-    Full if one sense survives, Partial if several-but-fewer survive, None
-    if its sense set was never narrowed.
+    A monosemous target is Full on its one sense.  Otherwise the first
+    winner that covers the target froze it: Full if it kept one sense,
+    Partial if several but fewer than all, with that winner's cd; None if
+    no winner narrowed it.
     """
     occ = window.members[window.target]
-    left = sorted(trace.remaining[window.target])
-    winning_cd = trace.frozen_cd[window.target]
+    all_senses = t.known_senses(occ.lemma)
+    if len(all_senses) == 1:
+        return Assignment(occ, Outcome.FULL, all_senses, Method.MONOSEMOUS)
+    froze = next((w for w in trace.winners if window.target in w.covered), None)
+    left = tuple(sorted(froze.covered[window.target])) if froze else all_senses
     if len(left) == 1:
-        outcome, senses = Outcome.FULL, tuple(left)
-    elif len(left) < len(t.known_senses(occ.lemma)):
-        outcome, senses = Outcome.PARTIAL, tuple(left)
-    else:
-        outcome, senses, winning_cd = Outcome.NONE, (), None
-    return Assignment(
-        occurrence=occ,
-        outcome=outcome,
-        senses=senses,
-        method=Method.DENSITY,
-        winning_cd=winning_cd,
-    )
+        return Assignment(occ, Outcome.FULL, left, Method.DENSITY, froze.cd)
+    if len(left) < len(all_senses):
+        return Assignment(occ, Outcome.PARTIAL, left, Method.DENSITY, froze.cd)
+    return Assignment(occ, Outcome.NONE, (), Method.DENSITY)
 
 
 def apply_random_fallback(
@@ -223,10 +203,10 @@ def disambiguate_document(
 ) -> list[Assignment]:
     """One assignment per noun occurrence, in document order.
 
-    Every occurrence is the middle of its own window.  A polysemous
-    target whose window has the same members as the last loop run is
-    decided from that run's trace, with the same result a new run would
-    give; every other window runs ``disambiguate_window``.
+    Every occurrence is the middle of its own window.  A target whose
+    window has the same members as the last loop run is decided from that
+    run's trace, with the same result a new run would give; every other
+    window runs ``disambiguate_window``.
     ``window_size`` must be odd (it counts the target too); the command
     line accepts even context-sized values and widens them before calling
     in here.  Undecided occurrences stay Partial or None;
@@ -236,8 +216,7 @@ def disambiguate_document(
     members, trace = None, None  # the window and result of the last loop run
     for i in range(len(nouns)):
         window = build_window(nouns, i, window_size)
-        if (window.members == members
-                and len(t.known_senses(window.members[window.target].lemma)) > 1):
+        if window.members == members:
             assignment = _decide(t, window, trace)
         else:
             assignment, last = disambiguate_window(t, window, params)

@@ -386,8 +386,6 @@ class Taxonomy:
         for scc in sorted(map(sorted, _components(unpeeled, hyper_up))):
             if len(scc) > 1 or scc[0] in hyper_up[scc[0]]:
                 raise TaxonomyError(f"hypernym cycle through {ids[scc[0]]!r}")
-        has_parent = {key // n for key in hyper_keys}
-        self.roots = tuple(sid for node, sid in enumerate(ids) if node not in has_parent)
 
         # Heights over the condensation, sinks first: a component of k nodes
         # adds k - 1 to the longest path that leaves it, through a peeled
@@ -597,13 +595,15 @@ class Taxonomy:
         """One nhyp estimated from the whole hierarchy.
 
         Solves sum(x**i for i in 0..H) == N where N is the synset count and
-        H the maximum height over the roots.
+        H the height of the hierarchy, the maximum height over the roots.
+        That is the maximum over all synsets: hypernym edges form no cycle,
+        so every synset lies under a hypernym root, and a concept's height
+        is at least that of everything under it.
         """
         if self._global_nhyp is None:
             if not self._ids:
                 raise TaxonomyError("empty taxonomy")
-            max_height = max((self._heights[self._num[r]] for r in self.roots), default=0)
-            self._global_nhyp = solve_nhyp(len(self._ids), max_height)
+            self._global_nhyp = solve_nhyp(len(self._ids), max(self._heights))
         return self._global_nhyp
 
 
